@@ -27,6 +27,13 @@
 
 namespace ringcnn {
 
+/**
+ * Widest tuple (n, and the fast algorithm's m) the fused fp32/int8
+ * kernels hold in fixed-size per-pixel register arrays. Every
+ * registered ring fits (m <= 10); RingConvEngine rejects wider ones.
+ */
+constexpr int kMaxTuple = 16;
+
 /** One ring algebra: bilinear multiplication + fast algorithm + metadata. */
 struct Ring
 {

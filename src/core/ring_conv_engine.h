@@ -6,10 +6,16 @@
  * transformed filter tensor g~ = Tg g on every forward call and walked
  * pixels through per-element Tensor::at() indexing. The engine instead
  *
- *   1. precomputes g~ and the expanded bias once per weight set,
- *   2. runs the component-wise 2-D convolutions as row-contiguous
- *      stride-1 kernels (simd::axpy_f32 on the default float path;
- *      the original double-accumulation loops on the strict path),
+ *   1. precomputes g~ and the expanded bias once per weight set, and
+ *      compiles the NONZERO taps of g~ into compact per-(output tuple,
+ *      component) tap lists in (ci, ky, kx) order — ring-DOF pruning
+ *      (baselines/pruning.h) zeroes a tap in every band, so pruned
+ *      tuples never enter the lists,
+ *   2. runs the component-wise 2-D convolutions tap-fused: every live
+ *      tap of an output row accumulates in one simd::axpy_rows_f32 /
+ *      matvec_rows_f32 pass, and components whose Tx row is a unit
+ *      selector read the input planes in place (the original
+ *      double-accumulation loops on the strict path),
  *   3. fuses bias, the reconstruction transform Tz, and an optional
  *      ReLU / directional-ReLU epilogue into one pass over each output
  *      band, so activations never round-trip through memory,
@@ -26,7 +32,13 @@
  *    and invariant under thread count, row banding, batching, and the
  *    dispatched ISA; differs from the fp64 path by normal float
  *    rounding (observed max |Δ| well under 1e-4 on unit-scale
- *    activations).
+ *    activations). Every element is the scalar FRCONV sequence — Tx
+ *    transform, per-component conv over the nonzero taps in (ci, ky,
+ *    kx) order, bias plus the nonzero Tz terms, epilogue — with one
+ *    caveat: a fused accumulator starts from its first term rather
+ *    than +0.0, so an element whose every term is -0.0 comes out -0.0
+ *    (pinned against a scalar reference in tests/test_sparse_kernels.cc
+ *    and tests/test_executor.cc).
  *  - Strict (strict_fp64 == true): for every output element the engine
  *    performs the same operations, on the same operand values, in the
  *    same order as the original ring_conv_fast() loop nest, so results
@@ -61,40 +73,6 @@ struct RingConvEngineOptions
      * Strict mode does not support fused epilogues.
      */
     bool strict_fp64 = false;
-    /**
-     * Accumulate every (ci, ky, kx) tap of an output row in one fused
-     * pass (simd::axpy_rows_f32) instead of one axpy_f32 row pass per
-     * tap, and likewise fuse the input-transform and reconstruction /
-     * directional-epilogue row chains. Per-element operation order is
-     * unchanged, so results are BIT-IDENTICAL to the unfused fp32 path
-     * (pinned in tests/test_ring_conv_engine.cc) up to the sign of
-     * exact zeros: the fused accumulator starts from its first term
-     * where the unfused one starts from +0.0, so an element whose
-     * every term is -0.0 (exact-zero activations behind a ReLU hitting
-     * negative taps) comes out -0.0 instead of +0.0 — the same value
-     * class as the zero-tap skip caveat; the per-tap
-     * read-modify-write traffic over the accumulator band — most of the
-     * fp32 FRCONV time — collapses to one load/store per row. Off
-     * reproduces the PR-2/PR-4 kernel schedule (the serving bench's
-     * per-request baseline). Ignored on the strict fp64 path.
-     */
-    bool tap_fused = true;
-    /**
-     * Compile the per-(output tuple, component) NONZERO taps of g~ into
-     * compact tap lists at set_weights() time, so the tap-fused band
-     * pass iterates only live taps instead of scanning the dense
-     * ci_t*k*k grid for zeros on every table (re)build. The compact
-     * lists preserve the dense scan's (ci, ky, kx) tap order, so every
-     * output element accumulates its terms in the identical sequence —
-     * results are BIT-IDENTICAL to the dense schedule with the same
-     * weights zeroed (pinned in tests/test_sparse_kernels.cc). This is
-     * how ring-DOF pruning (baselines/pruning.h) compiles away: a
-     * pruned tuple zeroes its tap in every band, so it simply never
-     * enters the compiled tables. Off keeps the dense per-build scan —
-     * the A/B baseline the sparse bench row compares against. Ignored
-     * on the strict fp64 and unfused paths (both keep dense scans).
-     */
-    bool sparse_taps = true;
 };
 
 /** Nonlinearity fused into the engine's output pass (fp32 path only). */
@@ -115,7 +93,7 @@ enum class ConvEpilogue
 struct RingConvScratch
 {
     std::vector<std::vector<float>> xt;
-    /** Tap-fused path: per-image (tuple, component) plane pointer
+    /** fp32 path: per-image (tuple, component) plane pointer
      *  table — identity Tx components alias the input tensor directly
      *  (no copy), the rest point into `xt`. */
     std::vector<std::vector<const float*>> xplanes;
@@ -125,7 +103,7 @@ struct RingConvScratch
         std::vector<float> dir;    ///< directional-epilogue tuple rows
         std::vector<double> z64;   ///< strict-path per-band planes
         std::vector<double> acc64; ///< strict-path transform accumulator
-        /** Tap-fused path: per-row tap table (source row pointers,
+        /** fp32 path: per-row tap table (source row pointers,
          *  coefficients, valid column ranges), rebuilt per output row. */
         std::vector<const float*> tap_src;
         std::vector<float> tap_w;
@@ -138,7 +116,8 @@ struct RingConvScratch
  * Caches the weight-dependent FRCONV state (transformed filters,
  * expanded bias, sparsity pattern of the data transform) and executes
  * forwards against it. Construction validates every shape with checked
- * errors (std::invalid_argument), not assert.
+ * errors (std::invalid_argument), not assert — including rings whose n
+ * or m exceeds kMaxTuple (core/ring.h).
  *
  * The referenced Ring must outlive the engine (registry rings do).
  * An engine is immutable during run() and may be shared by threads as
@@ -208,8 +187,7 @@ class RingConvEngine
 
     /**
      * Zero transformed-filter taps excluded from the compiled tap
-     * lists: co_t*m*ci_t*k^2 minus the nonzero count. 0 when
-     * sparse_taps is off (nothing was compiled away). Pruning a ring
+     * lists: co_t*m*ci_t*k^2 minus the nonzero count. Pruning a ring
      * tuple at sparsity s drops ~s of all taps here, in every band —
      * the executor sums this across engines for its
      * sparse_tap_skip_count() introspection.
@@ -231,20 +209,15 @@ class RingConvEngine
     void conv_band_f64(const float* xt, int h, int w, int co, int y0,
                        int y1, Tensor& out,
                        RingConvScratch::Worker& scratch) const;
-    /** `sums` (optional): n doubles receiving the band's pre-epilogue
-     *  interior sums per output component (ABFT capture). */
-    void conv_band_f32(const float* xt, int h, int w, int co, int y0,
-                       int y1, Tensor& out,
+    /** The fp32 band pass over the compiled tap lists. `planes` maps
+     *  (tuple, component) -> input plane (aliased or transformed; see
+     *  RingConvScratch::xplanes). `sums` (optional): n doubles
+     *  receiving the band's pre-epilogue interior sums per output
+     *  component (ABFT capture). */
+    void conv_band_f32(const float* const* planes, int h, int w, int co,
+                       int y0, int y1, Tensor& out,
                        RingConvScratch::Worker& scratch,
                        double* sums = nullptr) const;
-    /** The tap_fused variant of conv_band_f32 (same values, fewer
-     *  accumulator passes; see RingConvEngineOptions::tap_fused).
-     *  `planes` maps (tuple, component) -> input plane (aliased or
-     *  transformed; see RingConvScratch::xplanes). */
-    void conv_band_f32_fused(const float* const* planes, int h, int w,
-                             int co, int y0, int y1, Tensor& out,
-                             RingConvScratch::Worker& scratch,
-                             double* sums = nullptr) const;
 
     const Ring* ring_;
     int co_t_, ci_t_, k_, n_, m_;
@@ -261,7 +234,7 @@ class RingConvEngine
     std::vector<std::vector<std::pair<int, float>>> tx32_nz_;
     /**
      * tx_alias_[r] = j when Tx row r is the unit selector e_j (its only
-     * nonzero is a 1.0 at column j) — the tap-fused path then reads
+     * nonzero is a 1.0 at column j) — the fp32 path then reads
      * input planes in place instead of copying them into xt. The
      * paper's RI rings have IDENTITY Tx/Tz (their fast algorithm is the
      * algebraic sparsity of the multiplication tensor itself), so their
@@ -269,14 +242,13 @@ class RingConvEngine
      * transforms.
      */
     std::vector<int> tx_alias_;
-    /** Tz as a dense row-major [n][m] array. */
+    /** Tz as a dense row-major [n][m] array (strict path). */
     std::vector<double> tz_;
-    std::vector<float> tz32_;
     /** Nonzero (r, Tz[i][r]) entries per output component i: the
-     *  tap-fused reconstruction only touches these (identical values
+     *  fp32 reconstruction only touches these (identical values
      *  except through non-finite z, as with zero filter taps). */
     std::vector<std::vector<std::pair<int, float>>> tz32_nz_;
-    /** Tz == I (and m == n): the tap-fused path then accumulates each
+    /** Tz == I (and m == n): the fp32 path then accumulates each
      *  component directly into its output channel rows — no component
      *  scratch band, no reconstruction pass. True for the RI rings. */
     bool identity_tz_ = false;
@@ -285,8 +257,8 @@ class RingConvEngine
     /** Fused epilogue state (row-major n x n, fp32 path only). */
     ConvEpilogue epilogue_ = ConvEpilogue::kNone;
     std::vector<float> u32_, v32_;
-    /** Compiled nonzero-tap lists (sparse_taps): for each (co, r) the
-     *  live taps of g~ in the dense scan's (ci, ky, kx) order.
+    /** Compiled nonzero-tap lists: for each (co, r) the live taps of
+     *  g~ in (ci, ky, kx) order.
      *  sp_off_[co*m+r] .. sp_off_[co*m+r+1] index sp_taps_. */
     struct SparseTap
     {
@@ -329,24 +301,12 @@ class QuantConvKernel
                     const std::vector<int64_t>& bias,
                     std::vector<int> out_frac);
 
-    /**
-     * Iterate the compiled per-channel nonzero-tap lists in conv_rows
-     * instead of scanning the dense ci*k^2 grid (on by default). The
-     * lists keep the dense scan's (ic, ky, kx) order and integer
-     * addition is exact, so the accumulators are bit-identical either
-     * way; off is the A/B dense-schedule baseline.
-     */
-    void set_sparse_taps(bool on) { sparse_taps_ = on; }
-    bool sparse_taps() const { return sparse_taps_; }
-
     /** Zero weights excluded from the compiled tap lists (co*ci*k^2
-     *  minus the nonzero count); 0 when sparse_taps is off. */
+     *  minus the nonzero count). */
     int64_t sparse_tap_skip_count() const
     {
-        return sparse_taps_
-                   ? static_cast<int64_t>(w8_.size()) -
-                         static_cast<int64_t>(taps_.size())
-                   : 0;
+        return static_cast<int64_t>(w8_.size()) -
+               static_cast<int64_t>(taps_.size());
     }
 
     int co() const { return co_; }
@@ -393,7 +353,6 @@ class QuantConvKernel
     };
     std::vector<QTap> taps_;
     std::vector<int64_t> tap_off_;
-    bool sparse_taps_ = true;
 };
 
 /**

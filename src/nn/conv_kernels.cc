@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 
+#include "core/ring.h"
 #include "core/simd.h"
 #include "util/check.h"
 #include "util/thread_pool.h"
@@ -468,8 +469,6 @@ conv2d_backward_weights(const Tensor& x, const Tensor& grad_out,
 }
 
 namespace {
-
-constexpr int kMaxTuple = 16;
 
 /** Float copies of the n x n transform and its transpose. */
 void

@@ -36,7 +36,7 @@ relu_into(const Tensor& x, Tensor& out)
 // pass could not fold into a conv epilogue) runs the shared
 // nn::directional_relu_forward row kernels — the same per-element
 // ascending-j multiply/add order as the band-fused form in
-// RingConvEngine::conv_band_f32*, so fusion never changes a bit; the
+// RingConvEngine::conv_band_f32, so fusion never changes a bit; the
 // double-precision reference lives in core/ring_conv.cc.
 
 /** IR ops carry the originating layer as const void* (the IR never
@@ -76,31 +76,19 @@ ModelExecutor::~ModelExecutor() = default;
 
 ModelExecutor::ModelExecutor(Model& model, Shape in_shape,
                              ExecutorOptions opt)
-    : opt_(opt), model_(&model)
+    : opt_(opt), in_shape_(std::move(in_shape))
 {
-    rebind(in_shape);
-}
-
-void
-ModelExecutor::rebind(const Shape& in_shape)
-{
-    RINGCNN_CHECK(in_shape.size() == 3,
+    RINGCNN_CHECK(in_shape_.size() == 3,
                   "executor input must be a CHW shape");
-    // Fault site: plan compile/rebind hitting an allocation failure.
+    // Fault site: plan compile hitting an allocation failure.
     if (util::fault_check("plan.alloc")) throw std::bad_alloc();
-    in_shape_ = in_shape;
-    steps_.clear();
-    engines_.clear();
-    fused_real_convs_ = 0;
-    fallback_steps_ = 0;
-    batch_capacity_ = 0;  // new slots start empty; ensure_batch regrows
-    macs_ = model_->macs(in_shape_);
+    macs_ = model.macs(in_shape_);
 
     // The shared compile pipeline (src/plan): linearize the layer tree,
     // attach conv epilogues per the executor's fusion policy, assign
     // refcounted arena slots. Lowering below maps each IR op onto the
     // fp32 kernels.
-    plan_ = plan::linearize(model_->root(), in_shape_);
+    plan_ = plan::linearize(model.root(), in_shape_);
     plan::FusionOptions fo;
     fo.fuse_relu = opt_.fuse_epilogues && !opt_.strict_fp64;
     fo.fuse_dir_relu = fo.fuse_relu;
@@ -109,13 +97,7 @@ ModelExecutor::rebind(const Shape& in_shape)
     plan::fuse_epilogues(plan_, fo);
     plan::plan_arena(plan_);
 
-    // Keep the arena across rebinds: existing slot Tensors (and their
-    // buffer capacity) are reassigned to the new plan's slot ids, so
-    // recompiling for a new shape reuses the allocations of the old
-    // plan wherever they are big enough.
-    if (static_cast<int>(slots_.size()) < plan_.num_slots) {
-        slots_.resize(static_cast<size_t>(plan_.num_slots));
-    }
+    slots_.resize(static_cast<size_t>(plan_.num_slots));
     entry_slot_ = plan_.entry_slot;
     out_slot_ = plan_.out_slot;
     out_shape_ = plan_.out_shape;
@@ -143,8 +125,6 @@ ModelExecutor::lower_ringconv(const plan::OpIR& op)
     RingConvEngineOptions eo;
     eo.threads = opt_.threads;
     eo.strict_fp64 = opt_.strict_fp64;
-    eo.tap_fused = opt_.tap_fused;
-    eo.sparse_taps = opt_.sparse_taps;
     rec->engine = std::make_unique<RingConvEngine>(
         rc->ring(), rc->weights(), rc->bias(), eo);
     rec->engine->set_epilogue(ep, u, v);
@@ -470,10 +450,6 @@ ModelExecutor::refresh()
 void
 ModelExecutor::ensure_batch(int count)
 {
-    if (count <= batch_capacity_) return;
-    // Grow-only: after a rebind the capacity counter restarts at 0
-    // while some slot vectors may still be larger — never shrink them
-    // (their Tensor buffers are the recycled arena capacity).
     for (auto& slot : slots_) {
         if (slot.size() < static_cast<size_t>(count)) {
             slot.resize(static_cast<size_t>(count));
@@ -484,7 +460,6 @@ ModelExecutor::ensure_batch(int count)
             rec->in_ptrs.resize(static_cast<size_t>(count));
         }
     }
-    batch_capacity_ = count;
 }
 
 void

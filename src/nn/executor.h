@@ -65,13 +65,6 @@ struct ExecutorOptions
     bool strict_fp64 = false;
     /** Fuse ReLU / DirectionalReLU into the preceding ring conv. */
     bool fuse_epilogues = true;
-    /** Tap-fused engine row kernels (see RingConvEngineOptions); off
-     *  reproduces the PR-4 per-tap kernel schedule, same values. */
-    bool tap_fused = true;
-    /** Compile each engine's nonzero taps into compact tap lists (see
-     *  RingConvEngineOptions::sparse_taps) — bit-identical to the dense
-     *  schedule; off is the dense A/B baseline. */
-    bool sparse_taps = true;
     /**
      * ABFT verification: after every ring-conv pass, compare the
      * output's interior ring-sum against the prediction from the
@@ -114,11 +107,11 @@ class ModelExecutor
     int fallback_step_count() const { return fallback_steps_; }
     /** Zero filter taps the compiled engines excluded from their tap
      *  tables, summed over all ring-conv steps — how much of the model
-     *  was compiled away by sparsity. 0 when sparse_taps is off (or no
-     *  weight is zero). Reflects the engines as last refreshed. */
+     *  was compiled away by sparsity (0 when no weight is zero).
+     *  Reflects the engines as last refreshed. */
     int64_t sparse_tap_skip_count() const;
     /** The backend-neutral plan this executor lowered (introspection
-     *  for tests/benches; valid until the next rebind). */
+     *  for tests/benches). */
     const plan::GraphPlan& plan() const { return plan_; }
     /** Bytes currently held by the activation arena (capacity, all
      *  slots and batch lanes). The streaming layer's memory story rests
@@ -140,25 +133,6 @@ class ModelExecutor
     /** Re-syncs cached engines with layer parameter versions. Called
      *  automatically by run(). */
     void refresh();
-
-    /**
-     * Recompiles the plan for a new input shape IN PLACE, recycling the
-     * activation arena's buffer capacity (and the executor identity —
-     * callers holding a pointer keep it). The serving layer's per-shape
-     * plan cache rebinds its least-recently-used executor onto an
-     * incoming shape instead of paying allocation churn for a fresh
-     * compile on every eviction.
-     */
-    void rebind(const Shape& in_shape);
-
-    /**
-     * Re-points the executor at `model` WITHOUT recompiling — for
-     * Model's move operations, which hand their cached executors to
-     * the destination object. Only valid when `model` owns the exact
-     * layer tree this plan was compiled against (moves preserve layer
-     * addresses, so the compiled steps stay correct as-is).
-     */
-    void retarget(Model& model) { model_ = &model; }
 
     /** Runs one image; returns an owned copy of the output. */
     Tensor run(const Tensor& x);
@@ -199,7 +173,6 @@ class ModelExecutor
     void ensure_batch(int count);
 
     ExecutorOptions opt_;
-    Model* model_ = nullptr;  ///< compile target; must outlive us
     Shape in_shape_, out_shape_;
     int64_t macs_ = 0;
 
@@ -207,14 +180,13 @@ class ModelExecutor
     plan::GraphPlan plan_;
 
     /** Activation arena: slots_[slot][image]. Buffers keep their
-     *  capacity across runs; batch dimension grows on demand. */
+     *  capacity across runs; the batch dimension grows on demand. */
     std::vector<std::vector<Tensor>> slots_;
     int entry_slot_ = -1, out_slot_ = -1;
 
     /** Linear plan; each step processes the whole current batch. */
     std::vector<std::function<void(int)>> steps_;
     std::vector<std::unique_ptr<EngineRec>> engines_;
-    int batch_capacity_ = 0;
     int fused_real_convs_ = 0;
     int fallback_steps_ = 0;
 };

@@ -1,25 +1,23 @@
 #include "nn/model.h"
 
-#include <algorithm>
-
 #include "nn/executor.h"
 #include "util/check.h"
 
 namespace ringcnn::nn {
 
-// Out-of-line special members: the unique_ptr<ModelExecutor> member
-// needs the complete type to destroy. The executor holds pointers into
-// this instance's layer tree, so it never travels with a copy; a move
-// keeps it (layer addresses are stable under Model moves).
+// Out-of-line special members: the cached ModelExecutors need the
+// complete type to destroy. A plan holds pointers into this instance's
+// layer tree, so it never travels with a copy; a move keeps it (the
+// layer tree travels by pointer, so its addresses are stable).
 
-Model::Model() = default;
+Model::Model() : plans_(kMaxPlans) {}
 
 Model::Model(std::string name, std::unique_ptr<Layer> root)
-    : name_(std::move(name)), root_(std::move(root))
+    : name_(std::move(name)), root_(std::move(root)), plans_(kMaxPlans)
 {
 }
 
-Model::Model(const Model& o) : name_(o.name_)
+Model::Model(const Model& o) : name_(o.name_), plans_(kMaxPlans)
 {
     if (o.root_) root_ = o.root_->clone();
 }
@@ -30,33 +28,13 @@ Model::operator=(const Model& o)
     if (this != &o) {
         name_ = o.name_;
         root_ = o.root_ ? o.root_->clone() : nullptr;
-        execs_.clear();
+        plans_ = plan::PlanCache<ModelExecutor>(kMaxPlans);
     }
     return *this;
 }
 
-// Moves keep the cached executors (layer addresses are stable — the
-// layer tree travels by pointer), but each plan's Model back-pointer
-// (used by rebind()) must follow the object it now belongs to.
-Model::Model(Model&& o) noexcept
-    : name_(std::move(o.name_)), root_(std::move(o.root_)),
-      execs_(std::move(o.execs_))
-{
-    for (auto& e : execs_) e->retarget(*this);
-}
-
-Model&
-Model::operator=(Model&& o) noexcept
-{
-    if (this != &o) {
-        name_ = std::move(o.name_);
-        root_ = std::move(o.root_);
-        execs_ = std::move(o.execs_);
-        for (auto& e : execs_) e->retarget(*this);
-    }
-    return *this;
-}
-
+Model::Model(Model&& o) noexcept = default;
+Model& Model::operator=(Model&& o) noexcept = default;
 Model::~Model() = default;
 
 void
@@ -77,32 +55,22 @@ Model::copy_params_from(Model& src)
 ModelExecutor&
 Model::executor(const Shape& shape)
 {
-    // LRU over compiled plans: hits move to the back, misses evict the
-    // front — a shape that alternates with others (train-patch /
-    // eval-patch loops) stays resident no matter where it sits, unlike
-    // the old FIFO which could evict the hottest plan. Eviction rebinds
-    // the oldest executor onto the new shape, recycling its activation
-    // arena instead of reallocating one.
-    constexpr size_t kMaxPlans = 4;
-    for (size_t i = 0; i < execs_.size(); ++i) {
-        if (execs_[i]->in_shape() == shape) {
-            if (i + 1 != execs_.size()) {
-                std::rotate(execs_.begin() + static_cast<int64_t>(i),
-                            execs_.begin() + static_cast<int64_t>(i) + 1,
-                            execs_.end());
-            }
-            return *execs_.back();
+    // One caller at a time, so the claimed slot is released at once. A
+    // reclaimed victim's plan is dropped BEFORE the new one compiles,
+    // so at most kMaxPlans arenas are ever live.
+    plan::PlanCache<ModelExecutor>::Outcome outcome;
+    auto* e = plans_.claim(shape, &outcome);
+    try {
+        if (outcome != plan::PlanCache<ModelExecutor>::Outcome::kHit) {
+            e->exec.reset();
+            e->exec = std::make_unique<ModelExecutor>(*this, shape);
         }
+    } catch (...) {
+        plans_.release(e, false);
+        throw;
     }
-    if (execs_.size() >= kMaxPlans) {
-        std::unique_ptr<ModelExecutor> victim = std::move(execs_.front());
-        execs_.erase(execs_.begin());
-        victim->rebind(shape);
-        execs_.push_back(std::move(victim));
-    } else {
-        execs_.push_back(std::make_unique<ModelExecutor>(*this, shape));
-    }
-    return *execs_.back();
+    plans_.release(e, true);
+    return *e->exec;
 }
 
 Tensor

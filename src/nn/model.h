@@ -10,6 +10,7 @@
 #include <string>
 
 #include "nn/layer.h"
+#include "plan/plan_cache.h"
 
 namespace ringcnn::nn {
 
@@ -19,10 +20,11 @@ class ModelExecutor;
 class Model
 {
   public:
-    // Copies clone the layer tree; the cached inference executor is
-    // per-instance state and is never copied. All special members are
-    // defined out of line (nn/model.cc) because ModelExecutor is
-    // incomplete here.
+    // Copies clone the layer tree; the cached inference plans are
+    // per-instance state and are never copied (a move keeps them:
+    // layer addresses are stable under Model moves). All special
+    // members are defined out of line (nn/model.cc) because
+    // ModelExecutor is incomplete here.
     Model();
     Model(std::string name, std::unique_ptr<Layer> root);
     Model(const Model& o);
@@ -54,12 +56,12 @@ class Model
     std::vector<Tensor> infer(const std::vector<Tensor>& xs);
 
     /**
-     * The cached executor for `shape`, building it if needed (a small
-     * per-shape LRU plan cache, so mixed-shape eval loops don't
-     * recompile on every alternation; evictions rebind the
-     * least-recently-used plan onto the new shape, recycling its
-     * activation arena). The returned reference is invalidated by
-     * later executor()/infer() calls with other shapes — use it
+     * The cached executor for `shape`, building it if needed: claimed
+     * through a plan::PlanCache bounded at kMaxPlans, so mixed-shape
+     * eval loops don't recompile on every alternation; a miss at the
+     * bound reclaims the least-recently-used plan's slot and compiles
+     * the new shape fresh in it. The returned reference is invalidated
+     * by later executor()/infer() calls with other shapes — use it
      * immediately, don't store it.
      */
     ModelExecutor& executor(const Shape& shape);
@@ -102,12 +104,14 @@ class Model
 
     Shape out_shape(const Shape& in) const { return root_->out_shape(in); }
 
+    /** Compiled inference plans kept per Model (LRU bound). */
+    static constexpr int kMaxPlans = 4;
+
   private:
     std::string name_;
     std::unique_ptr<Layer> root_;
-    /** Lazy inference plans, one per input shape (bounded LRU; most
-     *  recently used at the back). */
-    std::vector<std::unique_ptr<ModelExecutor>> execs_;
+    /** Lazy inference plans, one per input shape. */
+    plan::PlanCache<ModelExecutor> plans_;
 };
 
 }  // namespace ringcnn::nn

@@ -99,8 +99,8 @@ class IntegrityError : public std::runtime_error
 };
 
 /**
- * Per-conv ABFT annotation (attached to kRingConv ops at linearize /
- * rebind time): enough precomputed weight state to predict the
+ * Per-conv ABFT annotation (attached to kRingConv ops at linearize
+ * time): enough precomputed weight state to predict the
  * interior-region output sums of a "same"-padded stride-1 conv from
  * shifted-window input sums.
  *

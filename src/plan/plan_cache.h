@@ -1,28 +1,30 @@
 /**
  * @file
- * PlanCache: the serving layer's shape-keyed LRU cache of compiled
- * executor plans, backend-agnostic.
+ * PlanCache: the shape-keyed LRU cache of compiled executor plans,
+ * backend-agnostic — the one plan-cache policy in the library.
  *
- * Both serving backends hold compiled lowerings of the shared plan
- * pipeline (src/plan): nn::ModelExecutor for fp32 and the quantized
- * engine path for int8. The cache policy is identical either way —
- * bounded slots, LRU stamps, and evictions that RECYCLE the victim
- * in place (rebind) instead of paying allocation churn for a fresh
- * compile — so it lives here once, templated over the executor type.
+ * nn::Model::executor() claims its fp32 plans through it, and both
+ * serving backends hold their compiled lowerings of the shared plan
+ * pipeline in it: nn::ModelExecutor for fp32 and the quantized engine
+ * path for int8. The policy is identical everywhere — bounded slots,
+ * LRU stamps, and evictions that RECLAIM the stalest idle plan's slot
+ * for the incoming shape — so it lives here once, templated over the
+ * executor type.
  *
  * Exec requirements:
  *  - `const Shape& in_shape() const` — the shape the plan is bound to
  *    (used for cache hits).
- * Compiling and rebinding stay with the caller: they are the expensive
- * steps and must run OUTSIDE the server lock, and their signatures are
- * backend-specific.
+ * Preparing a claimed slot stays with the caller (compile fresh, or
+ * for a reclaimed slot reset the victim's exec first and compile
+ * fresh): it is the expensive step, it must run OUTSIDE a server's
+ * lock, and its signature is backend-specific.
  *
  * Threading: claim()/release()/trim() mutate shared state and require
  * the caller's lock; an Entry marked busy is owned by exactly one
  * worker, which may touch its `exec` without the lock until release.
  */
-#ifndef RINGCNN_SERVE_PLAN_CACHE_H
-#define RINGCNN_SERVE_PLAN_CACHE_H
+#ifndef RINGCNN_PLAN_PLAN_CACHE_H
+#define RINGCNN_PLAN_PLAN_CACHE_H
 
 #include <cstdint>
 #include <memory>
@@ -30,7 +32,7 @@
 
 #include "tensor/tensor.h"
 
-namespace ringcnn::serve {
+namespace ringcnn::plan {
 
 template <class Exec>
 class PlanCache
@@ -40,8 +42,9 @@ class PlanCache
     enum class Outcome
     {
         kHit,     ///< an idle plan already bound to this shape
-        kFresh,   ///< a new slot was reserved; exec is null
-        kRebind,  ///< an LRU victim was reserved for recycling
+        kFresh,    ///< a new slot was reserved; exec is null
+        kReclaim,  ///< an idle LRU plan's slot was reserved; its exec
+                   ///< still holds the old shape's plan
     };
 
     /** One cached compiled plan. */
@@ -55,18 +58,18 @@ class PlanCache
 
     /**
      * Lifetime counters, maintained by the cache itself so every
-     * backend reports identically (the server used to reconstruct
-     * these from Outcome; tile streaming made cache thrash a
+     * backend reports identically (tile streaming made cache thrash a
      * first-class diagnosable symptom — a 128x128 tile plan evicted by
      * a stray odd-size frame recompiles on every subsequent tile).
-     * hits + fresh + rebinds == total claims; evictions counts plans
-     * DROPPED (trim of transient overflow), while rebinds recycle.
+     * hits + fresh + reclaims == total claims; evictions counts plans
+     * DROPPED (trim of transient overflow), while reclaims reuse the
+     * slot.
      */
     struct Counters
     {
         uint64_t hits = 0;       ///< claim found an idle bound plan
         uint64_t fresh = 0;      ///< claim reserved a slot to compile
-        uint64_t rebinds = 0;    ///< claim recycled an LRU victim
+        uint64_t reclaims = 0;   ///< claim reclaimed an LRU victim
         uint64_t evictions = 0;  ///< entries erased by trim()
     };
 
@@ -74,13 +77,14 @@ class PlanCache
 
     /**
      * Claims the plan slot for `shape`, marking it busy: a cache hit,
-     * a reserved LRU victim to rebind, or a reserved fresh slot. The
-     * caller compiles/rebinds outside the lock. Never returns null.
+     * a reserved LRU victim to reclaim, or a reserved fresh slot. The
+     * caller prepares the slot outside the lock. Never returns null.
      */
     Entry* claim(const Shape& shape, Outcome* outcome)
     {
-        // Hit: the server dispatches one batch per shape at a time, so
-        // a plan bound to this shape is never busy here.
+        // Hit: callers use one plan per shape at a time (the server
+        // dispatches one batch per shape), so a plan bound to this
+        // shape is never busy here.
         for (auto& e : entries_) {
             if (!e->busy && e->exec != nullptr &&
                 e->exec->in_shape() == shape) {
@@ -105,7 +109,7 @@ class PlanCache
             *outcome = Outcome::kFresh;
             return e.get();
         }
-        // LRU eviction: recycle the stalest idle plan. A fresh slot is
+        // LRU eviction: reclaim the stalest idle plan. A fresh slot is
         // reserved when the cache has room or every plan is busy
         // (transient overflow; trimmed when idle).
         if (entries_.size() >= static_cast<size_t>(max_plans_)) {
@@ -120,8 +124,8 @@ class PlanCache
                 victim->busy = true;
                 victim->stamp = ++clock_;
                 victim->shape = shape;
-                ++counters_.rebinds;
-                *outcome = Outcome::kRebind;
+                ++counters_.reclaims;
+                *outcome = Outcome::kReclaim;
                 return victim;
             }
         }
@@ -178,6 +182,6 @@ class PlanCache
     std::vector<std::unique_ptr<Entry>> entries_;
 };
 
-}  // namespace ringcnn::serve
+}  // namespace ringcnn::plan
 
-#endif  // RINGCNN_SERVE_PLAN_CACHE_H
+#endif  // RINGCNN_PLAN_PLAN_CACHE_H

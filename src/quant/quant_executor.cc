@@ -14,9 +14,6 @@ namespace ringcnn::quant {
 
 namespace {
 
-/** Widest tuple the fused directional epilogue handles per pixel. */
-constexpr int kMaxTuple = 16;
-
 // The integer butterfly (wht_inplace) and ceil_log2 come from
 // quant/qformat.h — one definition shared with the scalar oracle.
 
@@ -84,7 +81,6 @@ QuantExecutor::lower_conv(const plan::OpIR& op)
 
     auto kernel = std::make_unique<QuantConvKernel>(
         conv->co, conv->ci, conv->k, conv->w, conv->bias, conv->out_frac);
-    kernel->set_sparse_taps(opt_.sparse_taps);
     const bool dir_ok =
         dir == nullptr ||
         (dir->n >= 1 && dir->n <= kMaxTuple && conv->co % dir->n == 0);
@@ -789,35 +785,17 @@ QuantExecutor::run(const std::vector<QAct>& ins)
 Tensor
 QuantExecutor::forward(const Tensor& x)
 {
-    QAct in;
-    in.shape = x.shape();
-    in.v.resize(static_cast<size_t>(x.numel()));
-    in.frac.assign(static_cast<size_t>(x.dim(0)), input_fmt_.frac);
-    for (int64_t i = 0; i < x.numel(); ++i) {
-        in.v[static_cast<size_t>(i)] = input_fmt_.quantize(x[i]);
-    }
-    return QuantizedModel::dequantize(run(in));
+    return QuantizedModel::dequantize(
+        run(QuantizedModel::quantize_input(x, input_fmt_)));
 }
 
 std::vector<Tensor>
 QuantExecutor::forward(const std::vector<Tensor>& xs)
 {
-    std::vector<QAct> ins(xs.size());
-    for (size_t i = 0; i < xs.size(); ++i) {
-        const Tensor& x = xs[i];
-        ins[i].shape = x.shape();
-        ins[i].v.resize(static_cast<size_t>(x.numel()));
-        ins[i].frac.assign(static_cast<size_t>(x.dim(0)), input_fmt_.frac);
-        for (int64_t j = 0; j < x.numel(); ++j) {
-            ins[i].v[static_cast<size_t>(j)] = input_fmt_.quantize(x[j]);
-        }
-    }
-    std::vector<QAct> outs = run(ins);
-    std::vector<Tensor> res;
-    res.reserve(outs.size());
-    for (const QAct& o : outs) {
-        res.push_back(QuantizedModel::dequantize(o));
-    }
+    std::vector<Tensor> res(xs.size());
+    std::vector<const Tensor*> ptrs(xs.size());
+    for (size_t i = 0; i < xs.size(); ++i) ptrs[i] = &xs[i];
+    forward_into(ptrs.data(), res.data(), static_cast<int>(xs.size()));
     return res;
 }
 
@@ -827,15 +805,9 @@ QuantExecutor::forward_into(const Tensor* const* xs, Tensor* outs, int count)
     std::vector<QAct> ins(static_cast<size_t>(count));
     std::vector<const QAct*> ptrs(static_cast<size_t>(count));
     for (int i = 0; i < count; ++i) {
-        const Tensor& x = *xs[i];
-        QAct& q = ins[static_cast<size_t>(i)];
-        q.shape = x.shape();
-        q.v.resize(static_cast<size_t>(x.numel()));
-        q.frac.assign(static_cast<size_t>(x.dim(0)), input_fmt_.frac);
-        for (int64_t j = 0; j < x.numel(); ++j) {
-            q.v[static_cast<size_t>(j)] = input_fmt_.quantize(x[j]);
-        }
-        ptrs[static_cast<size_t>(i)] = &q;
+        ins[static_cast<size_t>(i)] =
+            QuantizedModel::quantize_input(*xs[i], input_fmt_);
+        ptrs[static_cast<size_t>(i)] = &ins[static_cast<size_t>(i)];
     }
     exec(ptrs.data(), count);
     for (int b = 0; b < count; ++b) {

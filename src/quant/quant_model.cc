@@ -806,14 +806,14 @@ QuantizedModel::op_names() const
 }
 
 QAct
-QuantizedModel::quantize_input(const Tensor& x) const
+QuantizedModel::quantize_input(const Tensor& x, const QFormat& fmt)
 {
     QAct in;
     in.shape = x.shape();
     in.v.resize(static_cast<size_t>(x.numel()));
-    in.frac.assign(static_cast<size_t>(x.dim(0)), input_fmt_.frac);
+    in.frac.assign(static_cast<size_t>(x.dim(0)), fmt.frac);
     for (int64_t i = 0; i < x.numel(); ++i) {
-        in.v[static_cast<size_t>(i)] = input_fmt_.quantize(x[i]);
+        in.v[static_cast<size_t>(i)] = fmt.quantize(x[i]);
     }
     return in;
 }

@@ -250,7 +250,13 @@ class QuantizedModel
     const QFormat& input_format() const { return input_fmt_; }
 
     /** Quantizes a float image into the input activation. */
-    QAct quantize_input(const Tensor& x) const;
+    QAct quantize_input(const Tensor& x) const
+    {
+        return quantize_input(x, input_fmt_);
+    }
+    /** The same quantization for a given input Q-format (the compiled
+     *  executor keeps only the format, not the model). */
+    static QAct quantize_input(const Tensor& x, const QFormat& fmt);
 
     /** Dequantizes an output activation into a float image. */
     static Tensor dequantize(const QAct& out);

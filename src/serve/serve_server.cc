@@ -6,8 +6,8 @@
 #include <utility>
 
 #include "plan/graph_ir.h"
+#include "plan/plan_cache.h"
 #include "quant/quant_executor.h"
-#include "serve/plan_cache.h"
 #include "util/check.h"
 #include "util/fault.h"
 #include "util/thread_pool.h"
@@ -28,8 +28,8 @@ struct ServeServer::Backend
     /** Claims the plan slot for `shape` (marks it busy) and bumps the
      *  matching stats counter. Requires the server lock. */
     virtual void* claim(const Shape& shape, ServeStats& stats) = 0;
-    /** Prepares (compiles or rebinds) the claimed plan and runs the
-     *  batch through it. Called OUTSIDE the lock. */
+    /** Prepares (compiles, or re-keys a reclaimed slot) the claimed
+     *  plan and runs the batch through it. Called OUTSIDE the lock. */
     virtual void run(void* plan, const Shape& shape,
                      const Tensor* const* xs, Tensor* outs, int n) = 0;
     /** Releases a claimed plan; a failed prepare/run drops it so a
@@ -52,6 +52,8 @@ struct ServeServer::Backend
 
 namespace {
 
+using plan::PlanCache;
+
 template <class Exec>
 void
 count_outcome(typename PlanCache<Exec>::Outcome oc, ServeStats& stats)
@@ -63,14 +65,14 @@ count_outcome(typename PlanCache<Exec>::Outcome oc, ServeStats& stats)
         case PlanCache<Exec>::Outcome::kFresh:
             ++stats.plan_compiles;
             break;
-        case PlanCache<Exec>::Outcome::kRebind:
+        case PlanCache<Exec>::Outcome::kReclaim:
             ++stats.plan_rebinds;
             break;
     }
 }
 
-/** fp32: one arena-planned ModelExecutor per shape; an eviction
- *  rebinds the victim's plan in place, recycling its arena. */
+/** fp32: one arena-planned ModelExecutor per shape; a reclaimed slot
+ *  drops the victim's plan and compiles the new shape fresh. */
 class Fp32Backend final : public ServeServer::Backend
 {
   public:
@@ -91,11 +93,10 @@ class Fp32Backend final : public ServeServer::Backend
              Tensor* outs, int n) override
     {
         auto* e = static_cast<typename Cache::Entry*>(plan);
-        if (e->exec == nullptr) {
+        if (e->exec == nullptr || e->exec->in_shape() != shape) {
+            e->exec.reset();  // free the victim's arena before compiling
             e->exec = std::make_unique<nn::ModelExecutor>(model_, shape,
                                                           opt_.executor);
-        } else if (e->exec->in_shape() != shape) {
-            e->exec->rebind(shape);
         }
         e->exec->run_into(xs, outs, n);
     }
@@ -129,8 +130,8 @@ class Fp32Backend final : public ServeServer::Backend
 /**
  * int8: the quantized engine path. Its plan is shape-agnostic (the
  * integer graph fixes channel counts; spatial dims flow through), so
- * one compiled QuantExecutor serves every shape and a cache "rebind"
- * only re-keys the slot. The PlanCache still bounds live arenas: each
+ * one compiled QuantExecutor serves every shape and a reclaimed slot
+ * is only re-keyed. The PlanCache still bounds live arenas: each
  * cached entry owns its own activation arena sized by the shapes it
  * has seen, and distinct entries let distinct shapes run without
  * re-growing one shared arena.
@@ -156,7 +157,6 @@ class Int8Backend final : public ServeServer::Backend
         : model_(model), cache_(opt.max_plans)
     {
         qopt_.threads = opt.executor.threads;
-        qopt_.sparse_taps = opt.executor.sparse_taps;
         qopt_.verify_checksums = opt.executor.verify_checksums;
     }
 
@@ -308,7 +308,7 @@ ServeServer::enqueue(Request req, const Shape& shape)
 {
     std::future<Tensor> fut = req.promise.get_future();
     // Obviously malformed shapes fail fast, before they can claim (and
-    // on a full cache, rebind-and-lose) a plan slot. Channel-level
+    // on a full cache, reclaim-and-lose) a plan slot. Channel-level
     // mismatches still surface from the compile in the worker.
     bool well_formed = shape.size() == 3;
     for (const int d : shape) well_formed = well_formed && d > 0;

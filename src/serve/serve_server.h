@@ -13,9 +13,10 @@
  *  - requests are bucketed by input shape and coalesced into batches
  *    (up to ServeOptions::max_batch images, waiting at most an
  *    adaptive linger window for a bucket to fill — see below);
- *  - each batch runs through a per-shape PlanCache (see plan_cache.h)
- *    of compiled plans — LRU-bounded; an eviction REBINDS the oldest
- *    plan onto the incoming shape instead of recompiling from scratch;
+ *  - each batch runs through a per-shape plan::PlanCache (see
+ *    plan/plan_cache.h) of compiled plans — LRU-bounded; a miss at the
+ *    bound reclaims the stalest idle plan's slot and compiles the
+ *    incoming shape fresh in it;
  *  - batches execute on ServeOptions::workers server threads. By
  *    default each worker runs its batch's kernels inline
  *    (util::InlineGuard), so concurrent workers use distinct cores
@@ -58,8 +59,8 @@
  *    without replanning through the layers' ParamRef::version dirty
  *    counters, exactly as Model::infer does.
  *  - int8: the quantized engine path (quant::QuantExecutor). The
- *    integer plan is shape-agnostic, so a "rebind" only re-keys the
- *    cache slot; the compiled kernels are reused as-is.
+ *    integer plan is shape-agnostic, so a reclaimed slot is only
+ *    re-keyed; the compiled kernels are reused as-is.
  *
  * Determinism: both executors' batched kernels are batch-composition
  * invariant, so every response is bit-identical to a single-request
@@ -201,8 +202,8 @@ struct ServeOptions
      *  source weights). See ServeStats::retries / retry_successes. */
     bool retry_on_fault = true;
     /** Plan-compile knobs forwarded to every cached ModelExecutor
-     *  (fp32 backend; the int8 backend maps `executor.threads`,
-     *  `executor.sparse_taps` and `executor.verify_checksums`). */
+     *  (fp32 backend; the int8 backend maps `executor.threads` and
+     *  `executor.verify_checksums`). */
     nn::ExecutorOptions executor;
 };
 
@@ -218,8 +219,11 @@ struct ServeStats
     uint64_t batches = 0;    ///< executor runs dispatched
     uint64_t batched = 0;    ///< requests that joined a dispatched batch
     uint64_t plan_hits = 0;  ///< batch found its shape's plan cached
-    uint64_t plan_compiles = 0;  ///< fresh executor compiles
-    uint64_t plan_rebinds = 0;   ///< LRU evictions recycled via rebind
+    uint64_t plan_compiles = 0;  ///< claims that compiled into a new slot
+    /** Claims that reclaimed an idle LRU plan's slot for a new shape
+     *  (fp32: the victim's plan is dropped and the shape compiled
+     *  fresh; int8: the slot is re-keyed). */
+    uint64_t plan_rebinds = 0;
     uint64_t plan_evictions = 0;  ///< cached plans dropped (trim)
     uint64_t max_queue_depth = 0;  ///< peak in-flight + queued requests
     uint64_t rejected_inputs = 0;  ///< non-finite inputs refused at submit
@@ -335,7 +339,7 @@ class ServeServer
     /**
      * Backend seam: one PlanCache instantiation per executor type (see
      * serve_server.cc). claim/release/trim run under the server lock;
-     * run() prepares (compiles/rebinds) and executes OUTSIDE it, on a
+     * run() prepares (compiles) and executes OUTSIDE it, on a
      * claimed entry no other worker can touch.
      */
     struct Backend;

@@ -302,6 +302,37 @@ TEST(RingConvEngine, ShapeMismatchesThrow)
     EXPECT_THROW(RingConvEngine(ring, weven, {}), std::invalid_argument);
 }
 
+TEST(RingConvEngine, RejectsFastAlgorithmsWiderThanMaxTuple)
+{
+    // A fast algorithm with m = kMaxTuple + 1 multiplications overflows
+    // the band pass's per-pixel tuple registers: a checked error at
+    // construction, on both kernel sets.
+    const int m = kMaxTuple + 1;
+    Ring wide;
+    wide.name = "wide";
+    wide.n = 1;
+    wide.fast.tg = Matd(m, 1);
+    wide.fast.tx = Matd(m, 1);
+    wide.fast.tz = Matd(1, m);
+    for (int r = 0; r < m; ++r) {
+        wide.fast.tg.at(r, 0) = 1.0;
+        wide.fast.tx.at(r, 0) = 1.0;
+        wide.fast.tz.at(0, r) = 1.0 / m;
+    }
+    std::mt19937 rng(11);
+    const RingConvWeights w = random_weights(2, 2, 3, 1, rng);
+    EXPECT_THROW(RingConvEngine(wide, w, {}), std::invalid_argument);
+    RingConvEngineOptions strict;
+    strict.strict_fp64 = true;
+    EXPECT_THROW(RingConvEngine(wide, w, {}, strict), std::invalid_argument);
+
+    // One narrower still builds.
+    wide.fast.tg = Matd(kMaxTuple, 1);
+    wide.fast.tx = Matd(kMaxTuple, 1);
+    wide.fast.tz = Matd(1, kMaxTuple);
+    EXPECT_NO_THROW(RingConvEngine(wide, w, {}));
+}
+
 TEST(RingConvEngine, DirectionalReluChecksTupleAlignment)
 {
     const auto [u, v] = fh_transforms(4);

@@ -6,7 +6,7 @@
  *  - responses are BIT-identical to the single-request executor path,
  *    for every submission interleaving and batch composition;
  *  - mixed-shape storms exercise the per-shape plan cache's LRU
- *    rebind/evict machinery without ever mixing results up;
+ *    reclaim/evict machinery without ever mixing results up;
  *  - weight bumps between drains are picked up through the
  *    ParamRef::version counters (no stale-plan outputs, no recompiles);
  *  - partial batches flush after the linger deadline; malformed
@@ -123,8 +123,8 @@ TEST(ServeServer, MixedShapeStormKeepsResultsStraight)
     const std::vector<Shape> shapes{
         {3, 16, 16}, {3, 12, 20}, {3, 8, 8}, {3, 20, 12}, {3, 24, 8}};
 
-    // Cache bound BELOW the live shape count: the LRU must rebind plans
-    // mid-storm and still never cross results between shapes.
+    // Cache bound BELOW the live shape count: the LRU must reclaim plan
+    // slots mid-storm and still never cross results between shapes.
     serve::ServeOptions opt;
     opt.max_plans = 2;
     opt.max_batch = 4;
@@ -163,9 +163,9 @@ TEST(ServeServer, MixedShapeStormKeepsResultsStraight)
     const serve::ServeStats st = server.stats();
     EXPECT_EQ(st.completed, static_cast<uint64_t>(kTotal));
     EXPECT_EQ(st.failed, 0u);
-    // 5 live shapes through a 2-plan cache: evictions (rebinds) MUST
-    // have happened, and beyond the first fills every further shape
-    // switch recycles an arena instead of compiling from scratch.
+    // 5 live shapes through a 2-plan cache: LRU reclaims MUST have
+    // happened, and beyond the first fills every further shape switch
+    // reuses a cache slot instead of growing the cache.
     EXPECT_EQ(st.plan_compiles, 2u);
     EXPECT_GE(st.plan_rebinds, 3u);
 }
@@ -200,7 +200,7 @@ TEST(ServeServer, Int8ModeBitIdenticalToQuantizedForward)
 
     serve::ServeOptions opt;
     opt.max_batch = 4;
-    opt.max_plans = 2;  // below the live shape count: rebinds happen
+    opt.max_plans = 2;  // below the live shape count: reclaims happen
     opt.workers = 1;    // deterministic plan accounting
     serve::ServeServer server(qm, opt);
     std::vector<std::future<Tensor>> futs;
