@@ -325,10 +325,13 @@ main(int argc, char** argv)
 
     const double q_st_speedup = q_scalar_ms / q_eng_st_ms;
     const double q_mt_speedup = q_scalar_ms / q_eng_mt_ms;
+    // int8 engine against the fp32 executor, both single-threaded in
+    // this run: <= 1 means the 8-bit datapath is at least as fast.
+    const double q_vs_fp32_st = q_eng_st_ms / exec_st_ms;
     std::printf("  int8:          scalar %.2f ms  engine %.2f ms (%.1fx)  "
-                "engine-8t %.2f ms (%.1fx)  bit-exact=%s\n",
+                "engine-8t %.2f ms (%.1fx)  vs fp32 %.2f  bit-exact=%s\n",
                 q_scalar_ms, q_eng_st_ms, q_st_speedup, q_eng_mt_ms,
-                q_mt_speedup, int8_bit_exact ? "yes" : "NO");
+                q_mt_speedup, q_vs_fp32_st, int8_bit_exact ? "yes" : "NO");
 
     double train_scalar_ms = 0.0, train_simd_st_ms = 0.0,
            train_simd_mt_ms = 0.0;
@@ -843,7 +846,7 @@ main(int argc, char** argv)
         bool bit_exact = true;
     };
     std::vector<SparseRow> sparse_rows;
-    double sparse_speedup_75 = 0.0;
+    double sparse_speedup_75 = 0.0, sparse_int8_speedup_75 = 0.0;
     bool sparse_bit_exact = true;
     {
         sim::SimConfig sc;
@@ -883,6 +886,10 @@ main(int argc, char** argv)
             sparse_rows[2].fp32_ms > 0.0
                 ? sparse_rows[0].fp32_ms / sparse_rows[2].fp32_ms
                 : 0.0;
+        sparse_int8_speedup_75 =
+            sparse_rows[2].int8_ms > 0.0
+                ? sparse_rows[0].int8_ms / sparse_rows[2].int8_ms
+                : 0.0;
         for (const SparseRow& r : sparse_rows) {
             std::printf(
                 "  sparse %3.0f%%:   fp32 %.2f ms  int8 %.2f ms  "
@@ -891,8 +898,9 @@ main(int argc, char** argv)
                 r.fp32_skips, r.int8_skips, r.sim_macs,
                 r.bit_exact ? "yes" : "NO");
         }
-        std::printf("  sparse:        75%% vs unpruned %.2fx\n",
-                    sparse_speedup_75);
+        std::printf("  sparse:        75%% vs unpruned fp32 %.2fx  "
+                    "int8 %.2fx\n",
+                    sparse_speedup_75, sparse_int8_speedup_75);
     }
 
     // ---- integrity: ABFT checksum overhead + seeded fault campaign ----
@@ -1128,6 +1136,7 @@ main(int argc, char** argv)
     std::fprintf(f, "    \"st_speedup\": %.3f,\n", q_st_speedup);
     std::fprintf(f, "    \"engine_mt_ms\": %.4f,\n", q_eng_mt_ms);
     std::fprintf(f, "    \"mt_speedup\": %.3f,\n", q_mt_speedup);
+    std::fprintf(f, "    \"vs_fp32_st\": %.3f,\n", q_vs_fp32_st);
     std::fprintf(f, "    \"bit_exact\": %s\n",
                  int8_bit_exact ? "true" : "false");
     std::fprintf(f, "  },\n");
@@ -1230,6 +1239,8 @@ main(int argc, char** argv)
     }
     std::fprintf(f, "    ],\n");
     std::fprintf(f, "    \"speedup_75\": %.3f,\n", sparse_speedup_75);
+    std::fprintf(f, "    \"int8_speedup_75\": %.3f,\n",
+                 sparse_int8_speedup_75);
     std::fprintf(f, "    \"bit_exact\": %s\n",
                  sparse_bit_exact ? "true" : "false");
     std::fprintf(f, "  },\n");

@@ -823,25 +823,34 @@ QuantConvKernel::QuantConvKernel(int co, int ci, int k,
             s - std::abs(static_cast<double>(b));
     }
 
-    // Compiled nonzero-tap lists, in (ic, ky, kx) order per output
-    // channel. A pruned ring tuple expands to an
-    // all-zero n x n weight block, so its taps never enter the lists.
-    tap_off_.assign(static_cast<size_t>(co) + 1, 0);
+    // Compiled nonzero channel-pair tap tables, in (pair, ky, kx) order
+    // per output channel, built from the int8 store above (after the
+    // fault site, so a flip reaches the schedule). A pruned ring tuple
+    // expands to an all-zero n x n weight block, so its pairs never
+    // enter the tables.
+    const int pairs = (ci + 1) / 2;
+    pair_off_.assign(static_cast<size_t>(co) + 1, 0);
     for (int oc = 0; oc < co; ++oc) {
         const int8_t* wt =
             w8_.data() + static_cast<size_t>(oc) * ci * k * k;
-        for (int ic = 0; ic < ci; ++ic) {
+        const auto at = [&](int ic, int ky, int kx) -> int32_t {
+            if (ic >= ci) return 0;  // odd-channel tail
+            return wt[(static_cast<size_t>(ic) * k + ky) * k + kx];
+        };
+        for (int p = 0; p < pairs; ++p) {
             for (int ky = 0; ky < k; ++ky) {
                 for (int kx = 0; kx < k; ++kx) {
-                    const int32_t wv =
-                        wt[(static_cast<size_t>(ic) * k + ky) * k + kx];
-                    if (wv == 0) continue;
-                    taps_.push_back({ic, ky, kx, wv});
+                    const int32_t lo = at(2 * p, ky, kx);
+                    const int32_t hi = at(2 * p + 1, ky, kx);
+                    if (lo == 0 && hi == 0) continue;
+                    pair_taps_.push_back(
+                        {p, ky, kx, simd::pair_weight(lo, hi)});
+                    computed_weights_ += 2 * p + 1 < ci ? 2 : 1;
                 }
             }
         }
-        tap_off_[static_cast<size_t>(oc) + 1] =
-            static_cast<int64_t>(taps_.size());
+        pair_off_[static_cast<size_t>(oc) + 1] =
+            static_cast<int64_t>(pair_taps_.size());
     }
 }
 
@@ -862,34 +871,74 @@ QuantConvKernel::acc_bound(int in_bits) const
     return bound;
 }
 
-void
-QuantConvKernel::conv_rows(const int32_t* x, int h, int wd, int oc, int y0,
-                           int y1, int32_t* dst) const
+int64_t
+QuantConvKernel::packed_elems(int h, int w) const
 {
     const int pad = k_ / 2;
-    const int bh = y1 - y0;
-    const int64_t plane = static_cast<int64_t>(h) * wd;
-    std::fill_n(dst, static_cast<size_t>(bh) * wd,
-                bias_[static_cast<size_t>(oc)]);
-    // One row-kernel pass per compiled nonzero tap. Integer addition is
-    // exact, so the tap order cannot change a bit.
-    const int64_t t0 = tap_off_[static_cast<size_t>(oc)];
-    const int64_t t1 = tap_off_[static_cast<size_t>(oc) + 1];
-    for (int64_t t = t0; t < t1; ++t) {
-        const QTap& qt = taps_[static_cast<size_t>(t)];
-        const int32_t* x_ch = x + static_cast<int64_t>(qt.ic) * plane;
-        const int yy_lo = std::max(y0, pad - qt.ky);
-        const int yy_hi = std::min(y1, h + pad - qt.ky);
-        const int x_lo = std::max(0, pad - qt.kx);
-        const int x_hi = std::min(wd, wd + pad - qt.kx);
-        const int shift_y = qt.ky - pad, shift_x = qt.kx - pad;
-        for (int y = yy_lo; y < yy_hi; ++y) {
-            int32_t* drow = dst + static_cast<size_t>(y - y0) * wd;
-            const int32_t* irow =
-                x_ch + static_cast<int64_t>(y + shift_y) * wd + shift_x;
-            simd::axpy_i32(drow + x_lo, irow + x_lo, qt.w, x_hi - x_lo);
-        }
+    return static_cast<int64_t>((ci_ + 1) / 2) * (h + 2 * pad) *
+               (w + 2 * pad) * 2 +
+           simd::kPairConvSlack;
+}
+
+void
+QuantConvKernel::pack_pair(const int32_t* x, int h, int w, int pair,
+                           int16_t* xbuf) const
+{
+    RINGCNN_CHECK(packed_elems(h, w) <= INT32_MAX,
+                  "quantized conv input too large for int32 tap offsets");
+    const int pad = k_ / 2;
+    const int64_t hp = h + 2 * pad, wp = w + 2 * pad;
+    const int64_t plane = static_cast<int64_t>(h) * w;
+    int16_t* dst = xbuf + pair * hp * wp * 2;
+    std::fill_n(dst, pad * wp * 2, int16_t{0});
+    std::fill_n(dst + (hp - pad) * wp * 2, pad * wp * 2, int16_t{0});
+    const int32_t* a = x + 2 * pair * plane;
+    const int32_t* b = 2 * pair + 1 < ci_ ? a + plane : nullptr;
+    for (int y = 0; y < h; ++y) {
+        int16_t* row = dst + (y + pad) * wp * 2;
+        std::fill_n(row, 2 * pad, int16_t{0});
+        const int64_t at = static_cast<int64_t>(y) * w;
+        simd::pack_pairs_i16(row + 2 * pad, a + at,
+                             b != nullptr ? b + at : nullptr, w);
+        std::fill_n(row + 2 * (pad + w), 2 * pad, int16_t{0});
     }
+    if (pair == (ci_ + 1) / 2 - 1) {
+        std::fill_n(dst + hp * wp * 2, simd::kPairConvSlack, int16_t{0});
+    }
+}
+
+void
+QuantConvKernel::bind_taps(int h, int w, simd::PairTap* taps) const
+{
+    const int64_t hp = h + 2 * (k_ / 2), wp = w + 2 * (k_ / 2);
+    for (size_t i = 0; i < pair_taps_.size(); ++i) {
+        const PairTapSrc& t = pair_taps_[i];
+        taps[i] = {static_cast<int32_t>((t.pair * hp + t.ky) * wp * 2 +
+                                        2 * t.kx),
+                   t.w};
+    }
+}
+
+void
+QuantConvKernel::pack_input(const int32_t* x, int h, int w, int16_t* xbuf,
+                            simd::PairTap* taps) const
+{
+    for (int p = 0; p < (ci_ + 1) / 2; ++p) pack_pair(x, h, w, p, xbuf);
+    bind_taps(h, w, taps);
+}
+
+void
+QuantConvKernel::conv_rows(const QuantPackedInput& in, int oc, int y0,
+                           int y1, int32_t* dst) const
+{
+    // Output pixel (y, x) reads the k x k window whose top-left corner
+    // is padded position (y, x); the tap offsets add the rest.
+    const int64_t row = 2 * static_cast<int64_t>(in.w + 2 * (k_ / 2));
+    const int64_t t0 = pair_off_[static_cast<size_t>(oc)];
+    const int64_t t1 = pair_off_[static_cast<size_t>(oc) + 1];
+    simd::conv_pairs_i16(dst, in.w, in.x + y0 * row, row, in.taps + t0,
+                         static_cast<int>(t1 - t0),
+                         bias_[static_cast<size_t>(oc)], y1 - y0, in.w);
 }
 
 uint64_t

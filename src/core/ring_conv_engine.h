@@ -55,6 +55,7 @@
 #include <vector>
 
 #include "core/ring_conv.h"
+#include "core/simd.h"
 
 namespace ringcnn {
 
@@ -271,20 +272,39 @@ class RingConvEngine
 };
 
 /**
+ * One image packed for QuantConvKernel::conv_rows: views of
+ * caller-owned scratch that QuantConvKernel::pack_input filled.
+ */
+struct QuantPackedInput
+{
+    const int16_t* x;            ///< [ceil(ci/2)][h+2p][w+2p][2] int16
+    const simd::PairTap* taps;   ///< pair-tap table bound to h x w
+    int h, w;
+};
+
+/**
  * Cached integer-conv state for the quantized engine path (paper
  * Section IV-C): the expanded real conv weights pre-quantized to int8
- * in band-contiguous [oc][ic][ky][kx] tap order, the int32 bias, and
- * the per-output-band accumulator fractional widths (`out_frac`) — the
- * align-shift metadata the fused Fig. 8 epilogue consumes.
+ * ([oc][ic][ky][kx]), the int32 bias, the per-output-band accumulator
+ * fractional widths (`out_frac`) — the align-shift metadata the fused
+ * Fig. 8 epilogue consumes — and, compiled from the int8 weights, one
+ * table of nonzero channel-pair taps per output channel.
  *
- * conv_rows() computes a row band of one output channel as int32
- * accumulations through the simd::axpy_i32 row kernel. Integer
- * addition is exact and order-independent, so the result is
- * bit-identical to the scalar int64 QConvNode oracle whenever the true
- * accumulator fits in int32; int32_safe() proves that bound statically
- * (worst-case |bias| + sum |w| * max|x|, which also bounds every
- * partial sum), and the quantized executor falls back to the scalar
- * walk for any conv whose bound does not fit.
+ * The datapath is 8-bit. pack_input() interleaves the input channels
+ * in pairs into a zero-padded int16 image [ceil(ci/2)][h+2p][w+2p][2]
+ * and binds the tap tables to its geometry (one int16 offset and two
+ * packed int8 weights per entry). conv_rows() then accumulates a row
+ * band of one output channel through simd::conv_pairs_i16: int32
+ * accumulators initialized to the bias stay in registers while every
+ * tap pair adds two products per lane (vpmaddwd). A pair whose two
+ * weights are both zero — every pair of a pruned ring tuple — never
+ * enters the table. Integer addition is exact and order-independent,
+ * so the result is bit-identical to the scalar int64 QConvNode oracle
+ * whenever the input fits int16 and the true accumulator fits int32;
+ * int32_safe() proves the accumulator bound statically (worst-case
+ * |bias| + sum |w| * max|x|, which also bounds every partial sum), and
+ * the quantized executor compiles any conv it cannot prove onto the
+ * scalar oracle.
  */
 class QuantConvKernel
 {
@@ -301,19 +321,17 @@ class QuantConvKernel
                     const std::vector<int64_t>& bias,
                     std::vector<int> out_frac);
 
-    /** Zero weights excluded from the compiled tap lists (co*ci*k^2
-     *  minus the nonzero count). */
+    /** Weights the compiled pair tables never multiply: co*ci*k^2
+     *  minus the real channels of every compiled pair tap. */
     int64_t sparse_tap_skip_count() const
     {
-        return static_cast<int64_t>(w8_.size()) -
-               static_cast<int64_t>(taps_.size());
+        return static_cast<int64_t>(w8_.size()) - computed_weights_;
     }
 
     int co() const { return co_; }
     int ci() const { return ci_; }
     int k() const { return k_; }
     const std::vector<int>& out_frac() const { return out_frac_; }
-    const std::vector<int8_t>& weights_i8() const { return w8_; }
 
     /** True when every weight fit int8 and every bias fit int32. */
     bool weights_fit() const { return fits_; }
@@ -328,31 +346,58 @@ class QuantConvKernel
         return fits_ && acc_bound(in_bits) <= 2147483647.0;
     }
 
+    /** int16 elements pack_input writes for an h x w image, including
+     *  the simd::kPairConvSlack read slack. */
+    int64_t packed_elems(int h, int w) const;
+    /** Entries of the pair-tap table pack_input binds. */
+    int64_t pair_tap_count() const
+    {
+        return static_cast<int64_t>(pair_taps_.size());
+    }
+
+    /**
+     * Packs channel pair `pair` of the int32 CHW planes `x` (values
+     * must fit int16) into its zero-bordered plane of `xbuf`, a
+     * packed_elems(h, w) buffer; the last pair also zeroes the read
+     * slack. Pairs write disjoint ranges, so they may pack in parallel.
+     */
+    void pack_pair(const int32_t* x, int h, int w, int pair,
+                   int16_t* xbuf) const;
+    /** Binds the pair-tap table (pair_tap_count() entries) to an
+     *  h x w packed geometry. */
+    void bind_taps(int h, int w, simd::PairTap* taps) const;
+    /** pack_pair for every pair plus bind_taps: one image ready for
+     *  conv_rows. */
+    void pack_input(const int32_t* x, int h, int w, int16_t* xbuf,
+                    simd::PairTap* taps) const;
+
     /**
      * Computes output rows [y0, y1) of channel oc into `dst`, a
-     * contiguous [y1-y0][w] row block initialized to bias[oc]:
-     * "same"-padded stride-1 conv over the int32 CHW planes `x`.
-     * Requires int32_safe() for the input's bit width.
+     * contiguous [y1-y0][w] row block: "same"-padded stride-1 conv
+     * over a packed input, bias included. Requires int32_safe() for
+     * the input's bit width.
      */
-    void conv_rows(const int32_t* x, int h, int w, int oc, int y0, int y1,
+    void conv_rows(const QuantPackedInput& in, int oc, int y0, int y1,
                    int32_t* dst) const;
 
   private:
     int co_, ci_, k_;
-    std::vector<int8_t> w8_;      ///< pre-quantized per-band weights
+    std::vector<int8_t> w8_;      ///< pre-quantized weights
     std::vector<int32_t> bias_;
     std::vector<int> out_frac_;   ///< align-shift metadata per band
     std::vector<double> abs_sum_; ///< sum |w| per output channel
     bool fits_ = true;
-    /** Compiled nonzero taps per output channel, (ic, ky, kx) order;
-     *  tap_off_[oc] .. tap_off_[oc+1] index taps_. */
-    struct QTap
+    /** Compiled nonzero channel-pair taps per output channel, (pair,
+     *  ky, kx) order; pair_off_[oc] .. pair_off_[oc+1] index
+     *  pair_taps_. `w` is simd::pair_weight(w[2*pair], w[2*pair+1]). */
+    struct PairTapSrc
     {
-        int ic, ky, kx;
+        int pair, ky, kx;
         int32_t w;
     };
-    std::vector<QTap> taps_;
-    std::vector<int64_t> tap_off_;
+    std::vector<PairTapSrc> pair_taps_;
+    std::vector<int64_t> pair_off_;
+    int64_t computed_weights_ = 0;
 };
 
 /**

@@ -14,11 +14,14 @@
  *   dot_f32:   sum_i a[i] * b[i]        (weight gradients)
  *   sum_f32:   sum_i src[i]             (bias gradients)
  *
- * The quantized (int8 weight / int32 accumulator) path uses the same
- * two row shapes over int32 lanes:
+ * The quantized (int8 weight / int32 accumulator) path has its own
+ * 8-bit datapath over int16 channel pairs and int32 lanes:
  *
- *   axpy_i32:  dst[i] += a * src[i]     (integer conv taps)
- *   scale_i32: dst[i]  = a * src[i]     (integer row init)
+ *   pack_pairs_i16:   interleave two int32 channel rows into int16 pairs
+ *   conv_pairs_i16:   tap-fused channel-pair conv rows (vpmaddwd)
+ *   requant_i32, dir_relu_otf_i32, dir_relu_qfirst_i32:
+ *                     the conv's fused integer epilogues, 8 px wide
+ *   add_aligned_i32:  the residual / two-branch aligned add
  *
  * The generic builds are plain loops the compiler auto-vectorizes at
  * -O2/-O3 (verified by the perf_ringconv fp32 microbenchmarks). On
@@ -34,12 +37,12 @@
  * produces identical bits. The bit-exactness oracle against the seed
  * implementation additionally runs on the strict fp64 engine path.
  *
- * The int32 kernels are exact mod-2^32 arithmetic (the generic build
- * computes through uint32, matching the wrapping semantics of AVX2's
- * mullo/add), so every dispatch target produces identical bits
- * unconditionally, and results equal arbitrary-precision integer
- * arithmetic whenever the true values fit in int32 — the quantized
- * conv planner proves that bound statically before picking this path.
+ * The integer kernels compute mod 2^32 (the generic build goes through
+ * uint32, matching the wrapping AVX2 lanes), so every dispatch target
+ * produces identical bits unconditionally, and results equal
+ * arbitrary-precision integer arithmetic whenever the true values fit
+ * in int32 — the quantized executor proves that bound statically per
+ * conv before picking this path.
  */
 #ifndef RINGCNN_CORE_SIMD_H
 #define RINGCNN_CORE_SIMD_H
@@ -189,17 +192,90 @@ void axpy_rows_f32(float* dst, const float* const* srcs,
 void matvec_rows_f32(float* dst, const float* const* srcs,
                      const float* coeffs, int ntaps, int64_t len);
 
-/** dst[i] += a * src[i] for i in [0, len), wrapping int32. */
-void axpy_i32(int32_t* dst, const int32_t* src, int32_t a, int64_t len);
+/**
+ * One compiled channel-pair tap of the int8 conv: `off` is the int16
+ * element offset of the tap's input pair relative to the output
+ * pixel's packed base position, `w` holds the two int8 weights as
+ * int16 halves (low half: even channel, high half: odd channel).
+ */
+struct PairTap
+{
+    int32_t off;
+    int32_t w;
+};
+
+/** Packs a PairTap weight: `lo` scales the even, `hi` the odd channel. */
+inline int32_t
+pair_weight(int32_t lo, int32_t hi)
+{
+    return static_cast<int32_t>((static_cast<uint32_t>(lo) & 0xffffu) |
+                                (static_cast<uint32_t>(hi) << 16));
+}
 
 /**
- * dst[i] = a * src[i] for i in [0, len), wrapping int32. The conv band
- * kernels currently only need axpy (rows initialize to the bias), but
- * scale completes the row-API contract the fp32 pair established —
- * every backend (AVX2 today, NEON/accelerator per the roadmap)
- * implements both shapes.
+ * Interleaves two channel rows into int16 pairs: dst[2i] = a[i],
+ * dst[2i+1] = b[i] (0 when b is null — the odd-channel tail), each
+ * truncated to 16 bits. Callers pass values that fit int16.
  */
-void scale_i32(int32_t* dst, const int32_t* src, int32_t a, int64_t len);
+void pack_pairs_i16(int16_t* dst, const int32_t* a, const int32_t* b,
+                    int64_t len);
+
+/**
+ * Int16 elements conv_pairs_i16 may read past the last packed pixel of
+ * its input: the AVX2 body loads whole 8-pixel blocks, so a caller's
+ * packed buffer carries this much (zeroed) slack after its end.
+ */
+constexpr int64_t kPairConvSlack = 16;
+
+/**
+ * Tap-fused channel-pair conv rows. For r in [0, rows), i in [0, len):
+ *
+ *   dst[r*dst_stride + i] = bias + sum_t lo(w_t) * s[0] + hi(w_t) * s[1],
+ *   s = src + r*src_stride + 2*i + off_t
+ *
+ * computed mod 2^32. The AVX2 body keeps the bias-initialized
+ * accumulators of a 4-row x 8-pixel block in registers and adds one
+ * vpmaddwd per tap pair (two int16 x int8 products per lane — no
+ * saturation is reachable with int8 weights); the generic build
+ * performs the same products in uint32. Integer addition is exact and
+ * order-free, so both produce identical bits.
+ */
+void conv_pairs_i16(int32_t* dst, int64_t dst_stride, const int16_t* src,
+                    int64_t src_stride, const PairTap* taps, int ntaps,
+                    int32_t bias, int rows, int64_t len);
+
+/*
+ * The quantized conv's fused epilogues in int32 lanes. Each applies
+ * quant::shift_round_saturate stages in int32 arithmetic: shift s > 0
+ * rounds half up, (v + 2^(s-1)) >> s; s < 0 shifts left by -s; the
+ * result saturates to a signed `bits`-wide range. They equal the int64
+ * oracle when |s| <= 31, bits <= 31 and no intermediate (rounded or
+ * left-shifted value, butterfly sum) leaves int32 — the bound the
+ * quantized executor proves per conv before compiling onto them.
+ * Tuple widths n are powers of two up to 16.
+ */
+
+/** dst[i] = srs(relu_first ? max(src[i], 0) : src[i], shift, bits). */
+void requant_i32(int32_t* dst, const int32_t* src, int64_t len, int shift,
+                 int bits, bool relu_first);
+
+/**
+ * Fig. 8 on-the-fly directional ReLU over n rows (one per tuple
+ * component): t_j = src[j][i] << align[j], Hadamard butterfly,
+ * rectify, butterfly, dst[j][i] = srs(t_j, out_shift[j], bits).
+ */
+void dir_relu_otf_i32(int32_t* const* dst, const int32_t* const* src, int n,
+                      const int* align, const int* out_shift, int bits,
+                      int64_t len);
+
+/**
+ * Quantize-first directional ReLU (the ablation pipeline): y_j =
+ * srs(src[j][i], in_shift[j]), butterfly, y_j = max(srs(y_j,
+ * mid_shift[j]), 0), butterfly, dst[j][i] = srs(y_j, out_shift[j]).
+ */
+void dir_relu_qfirst_i32(int32_t* const* dst, const int32_t* const* src,
+                         int n, const int* in_shift, const int* mid_shift,
+                         const int* out_shift, int bits, int64_t len);
 
 /**
  * Returns max_i |a[i] - b[i]| for i in [0, len) (0 when len <= 0) — the
@@ -221,6 +297,20 @@ float max_abs_diff_f32(const float* a, const float* b, int64_t len);
  * quantization steps so "delta <= 1 step" is a direct skip test.
  */
 int max_abs_diff_i8(const int8_t* a, const int8_t* b, int64_t len);
+
+/**
+ * Aligned add of the quantized residual and two-branch joins, exact
+ * for every int32 input: dst[i] = sat_bits(srs(a[i], sa, bits + 2) +
+ * srs(b[i], sb, bits + 2)), operation for operation the int64
+ * QResidualNode / QTwoBranchNode sequence. Rounding right shifts go
+ * through the overflow-free (v >> s) + bit (s-1) of v, and left
+ * shifts saturate on a pre-compare instead of overflowing, so no
+ * bound proof is needed. Requires sa, sb >= -31 and 2 <= bits <= 29
+ * (so the bits+2-wide operands and their sum fit int32); dst may
+ * alias a or b.
+ */
+void add_aligned_i32(int32_t* dst, const int32_t* a, const int32_t* b,
+                     int64_t len, int sa, int sb, int bits);
 
 /** Name of the dispatched implementation: "avx2" or "generic". */
 const char* active_isa();

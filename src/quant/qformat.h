@@ -36,11 +36,48 @@ struct QFormat
      */
     int64_t quantize(double x) const
     {
-        const double scaled = std::ldexp(x, frac);
+        return round_saturate(std::ldexp(x, frac));
+    }
+
+    /**
+     * quantize() over a row with the scaling hoisted out of the loop.
+     * While 2^frac is a normal double, x * 2^frac rounds exactly as
+     * ldexp(x, frac) does (one rounding of the same exact product;
+     * both overflow to inf), so the row drops the per-element ldexp
+     * call and stays bit-identical to per-element quantize().
+     */
+    template <typename Out>
+    void quantize_row(const float* x, int64_t n, Out* out) const
+    {
+        if (frac < -1022 || frac > 1023) {
+            for (int64_t i = 0; i < n; ++i) {
+                out[i] = static_cast<Out>(quantize(x[i]));
+            }
+            return;
+        }
+        const double scale = std::ldexp(1.0, frac);
+        for (int64_t i = 0; i < n; ++i) {
+            out[i] = static_cast<Out>(
+                round_saturate(static_cast<double>(x[i]) * scale));
+        }
+    }
+
+    /** The rounding half of quantize(): round half away from zero
+     *  (llround), saturate, NaN to 0. */
+    int64_t round_saturate(double scaled) const
+    {
         if (std::isnan(scaled)) return 0;
         if (scaled >= static_cast<double>(max_int())) return max_int();
         if (scaled <= static_cast<double>(min_int())) return min_int();
-        return std::llround(scaled);
+        if (bits > 52) return std::llround(scaled);
+        // |scaled| < 2^51 here: the truncation is exact in int64 and
+        // the fraction scaled - t is exact in double, so comparing it
+        // against one half reproduces llround without the libm call.
+        // Branch-free: the fraction's sign is data-dependent.
+        const int64_t t = static_cast<int64_t>(scaled);
+        const double f = scaled - static_cast<double>(t);
+        return t + static_cast<int64_t>(f >= 0.5) -
+               static_cast<int64_t>(f <= -0.5);
     }
 
     /** Real value of a raw integer in this format. */

@@ -1,9 +1,11 @@
 #include "quant/quant_executor.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <stdexcept>
 
+#include "core/simd.h"
 #include "plan/arena_planner.h"
 #include "plan/fusion_pass.h"
 #include "util/check.h"
@@ -67,6 +69,119 @@ QuantExecutor::band_rows(int h, int groups_total) const
     return std::min(bh, h);
 }
 
+namespace {
+
+/** True when a shift_round_saturate(v, s, .) stage over |v| <= bound
+ *  keeps its rounding add and left shift inside int32 — the condition
+ *  under which the simd int32-lane stage equals the int64 oracle. */
+bool
+srs_fits_i32(double bound, int s)
+{
+    if (s > 31 || s < -31) return false;
+    const double top = 2147483647.0;
+    return s > 0 ? bound + std::ldexp(1.0, s - 1) <= top
+                 : std::ldexp(bound, -s) <= top;
+}
+
+/**
+ * The fused epilogue's shift amounts, one entry per output channel,
+ * computed once at lowering: requant {a: shift}; on-the-fly dir-ReLU
+ * {a: align, b: output shift}; quantize-first {a: in, b: mid, c: out}.
+ */
+struct EpilogueShifts
+{
+    std::vector<int> a, b, c;
+};
+
+EpilogueShifts
+epilogue_shifts(const QuantConvKernel& K, const QDirReluNode* dir,
+                const QRequantNode* req)
+{
+    EpilogueShifts sh;
+    const int co = K.co();
+    const auto& ny = K.out_frac();
+    if (req != nullptr) {
+        for (int oc = 0; oc < co; ++oc) {
+            sh.a.push_back(ny[static_cast<size_t>(oc)] -
+                           req->target[static_cast<size_t>(oc)]);
+        }
+    }
+    if (dir == nullptr) return sh;
+    const int n = dir->n;
+    const int log2n = ceil_log2(n);
+    for (int base = 0; base < co; base += n) {
+        const auto at = [base](const std::vector<int>& v, int i) {
+            return v[static_cast<size_t>(base + i)];
+        };
+        if (dir->onthefly) {
+            int fmax = at(ny, 0);
+            for (int i = 1; i < n; ++i) fmax = std::max(fmax, at(ny, i));
+            for (int i = 0; i < n; ++i) {
+                sh.a.push_back(fmax - at(ny, i));
+                sh.b.push_back(fmax + log2n - at(dir->out_frac, i));
+            }
+        } else {
+            for (int i = 0; i < n; ++i) {
+                sh.a.push_back(at(ny, i) - at(dir->pre_frac, i));
+                sh.b.push_back(at(dir->pre_frac, 0) - at(dir->mid_frac, i));
+                sh.c.push_back(at(dir->mid_frac, 0) - at(dir->out_frac, i) +
+                               log2n);
+            }
+        }
+    }
+    return sh;
+}
+
+/**
+ * The static per-conv proof behind the fast path: every int32
+ * intermediate of the fused epilogue fits. With A = acc_bound, the
+ * on-the-fly pipeline's aligned values stay within A * 2^max_align,
+ * each butterfly multiplies the bound by n, and the final stage rounds
+ * or left-shifts n^2 times that; the quantize-first pipeline saturates
+ * to `bits` after its first stage, so its butterflies stay within
+ * n * 2^(bits-1).
+ */
+bool
+epilogue_fits_i32(double acc, const EpilogueShifts& sh,
+                  const QDirReluNode* dir, const QRequantNode* req)
+{
+    const double top = 2147483647.0;
+    if (req != nullptr) {
+        if (req->bits > 31) return false;
+        for (const int s : sh.a) {
+            if (!srs_fits_i32(acc, s)) return false;
+        }
+    }
+    if (dir == nullptr) return true;
+    const int n = dir->n;
+    if (dir->bits > 31 || (n & (n - 1)) != 0) return false;
+    const double nn = static_cast<double>(n) * n;
+    if (dir->onthefly) {
+        int max_align = 0;
+        for (const int s : sh.a) {
+            if (!srs_fits_i32(acc, -s)) return false;
+            max_align = std::max(max_align, s);
+        }
+        const double wide = acc * std::ldexp(1.0, max_align) * nn;
+        if (wide > top) return false;
+        for (const int s : sh.b) {
+            if (!srs_fits_i32(wide, s)) return false;
+        }
+        return true;
+    }
+    const double mid = n * std::ldexp(1.0, dir->bits - 1);
+    if (mid > top) return false;
+    for (size_t i = 0; i < sh.a.size(); ++i) {
+        if (!srs_fits_i32(acc, sh.a[i]) || !srs_fits_i32(mid, sh.b[i]) ||
+            !srs_fits_i32(mid, sh.c[i])) {
+            return false;
+        }
+    }
+    return true;
+}
+
+}  // namespace
+
 void
 QuantExecutor::lower_conv(const plan::OpIR& op)
 {
@@ -85,8 +200,16 @@ QuantExecutor::lower_conv(const plan::OpIR& op)
         dir == nullptr ||
         (dir->n >= 1 && dir->n <= kMaxTuple && conv->co % dir->n == 0);
     // op.in_bits is the feature width live at the conv input (threaded
-    // through the plan by the linearizer).
-    const bool fast = kernel->int32_safe(op.in_bits) && dir_ok;
+    // through the plan by the linearizer): int16 packing needs <= 16
+    // bits, int32 accumulation the kernel's bound, and the int32-lane
+    // epilogue the bound proof above.
+    EpilogueShifts shifts;
+    bool fast = dir_ok && op.in_bits <= 16 && kernel->int32_safe(op.in_bits);
+    if (fast) {
+        shifts = epilogue_shifts(*kernel, dir, req);
+        fast = epilogue_fits_i32(kernel->acc_bound(op.in_bits), shifts, dir,
+                                 req);
+    }
 
     const int in = op.in0_slot;
     const int out = op.out_slot;
@@ -138,37 +261,55 @@ QuantExecutor::lower_conv(const plan::OpIR& op)
     if (opt_.verify_checksums) cs = op.checksum;
     const int opidx = static_cast<int>(&op - plan_.ops.data());
     auto vb = cs != nullptr ? std::make_shared<VerifyBufs>() : nullptr;
+    auto sh = std::make_shared<const EpilogueShifts>(std::move(shifts));
 
-    steps_.push_back([this, dir, req, in, out, kidx, gn, cs, opidx,
-                      vb](int batch) {
+    steps_.push_back([this, dir, req, in, out, kidx, gn, cs, opidx, vb,
+                      sh](int batch) {
         const QuantConvKernel& K = *kernels_[kidx];
         auto& ins = slots_[static_cast<size_t>(in)];
         auto& outs = slots_[static_cast<size_t>(out)];
         const int co = K.co();
 
-        tasks_.clear();
-        int groups_total = 0;
-        for (int b = 0; b < batch; ++b) groups_total += co / gn;
+        // Pack every image into the shared int16 scratch (and bind its
+        // tap table) before any band runs; the tasks only read it.
+        int64_t xs = 0, ts = 0;
         for (int b = 0; b < batch; ++b) {
-            IAct& x = ins[static_cast<size_t>(b)];
+            const IAct& x = ins[static_cast<size_t>(b)];
             RINGCNN_CHECK(x.shape[0] == K.ci(),
                           "quantized conv input channel mismatch");
-            const int h = x.shape[1], wd = x.shape[2];
-            IAct& o = outs[static_cast<size_t>(b)];
-            o.reset({co, h, wd});
-            o.frac = dir != nullptr ? dir->out_frac
-                                    : (req != nullptr ? req->target
-                                                      : K.out_frac());
-            const int bh = band_rows(h, groups_total);
-            for (int g = 0; g < co / gn; ++g) {
-                for (int y0 = 0; y0 < h; y0 += bh) {
-                    tasks_.push_back({b, g, y0, std::min(y0 + bh, h)});
-                }
-            }
+            xs += K.packed_elems(x.shape[1], x.shape[2]);
+            ts += K.pair_tap_count();
         }
+        if (packed_.size() < static_cast<size_t>(xs)) {
+            packed_.resize(static_cast<size_t>(xs));
+        }
+        if (packed_taps_.size() < static_cast<size_t>(ts)) {
+            packed_taps_.resize(static_cast<size_t>(ts));
+        }
+        xs = ts = 0;
+        for (int b = 0; b < batch; ++b) {
+            const IAct& x = ins[static_cast<size_t>(b)];
+            const int h = x.shape[1], wd = x.shape[2];
+            K.bind_taps(h, wd, packed_taps_.data() + ts);
+            packed_in_[static_cast<size_t>(b)] = {
+                packed_.data() + xs, packed_taps_.data() + ts, h, wd};
+            xs += K.packed_elems(h, wd);
+            ts += K.pair_tap_count();
+        }
+        const int pairs = (K.ci() + 1) / 2;
+        util::parallel_for(
+            static_cast<int64_t>(batch) * pairs,
+            [&](int64_t i) {
+                const size_t b = static_cast<size_t>(i / pairs);
+                const QuantPackedInput& px = packed_in_[b];
+                // px.x is the read-only view; write through the buffer.
+                K.pack_pair(ins[b].v.data(), px.h, px.w,
+                            static_cast<int>(i % pairs),
+                            packed_.data() + (px.x - packed_.data()));
+            },
+            threads_);
 
-        // Input ring-sums BEFORE the run: the input slot may alias the
-        // output slot when the plan recycled it.
+        // Input ring-sums, likewise before any output is written.
         const size_t taps = cs != nullptr ? cs->num_input_sums() : 0;
         if (cs != nullptr) {
             vb->in_sums.assign(static_cast<size_t>(batch) * taps, 0);
@@ -178,6 +319,25 @@ QuantExecutor::lower_conv(const plan::OpIR& op)
                     *cs, x.v.data(), x.shape[1], x.shape[2],
                     vb->in_sums.data() + static_cast<size_t>(b) * taps);
             }
+        }
+
+        tasks_.clear();
+        const int groups_total = batch * (co / gn);
+        for (int b = 0; b < batch; ++b) {
+            const QuantPackedInput& px = packed_in_[static_cast<size_t>(b)];
+            IAct& o = outs[static_cast<size_t>(b)];
+            o.reset({co, px.h, px.w});
+            o.frac = dir != nullptr ? dir->out_frac
+                                    : (req != nullptr ? req->target
+                                                      : K.out_frac());
+            const int bh = band_rows(px.h, groups_total);
+            for (int g = 0; g < co / gn; ++g) {
+                for (int y0 = 0; y0 < px.h; y0 += bh) {
+                    tasks_.push_back({b, g, y0, std::min(y0 + bh, px.h)});
+                }
+            }
+        }
+        if (cs != nullptr) {
             vb->cells.assign(tasks_.size() * static_cast<size_t>(gn), 0);
         }
 
@@ -185,11 +345,11 @@ QuantExecutor::lower_conv(const plan::OpIR& op)
             static_cast<int64_t>(tasks_.size()),
             [&](int worker, int64_t ti) {
                 const ConvTask& t = tasks_[static_cast<size_t>(ti)];
-                IAct& x = ins[static_cast<size_t>(t.img)];
+                const QuantPackedInput& px =
+                    packed_in_[static_cast<size_t>(t.img)];
                 IAct& o = outs[static_cast<size_t>(t.img)];
-                const int h = x.shape[1], wd = x.shape[2];
-                const int bh = t.y1 - t.y0;
-                const int64_t brow = static_cast<int64_t>(bh) * wd;
+                const int h = px.h, wd = px.w;
+                const int64_t brow = static_cast<int64_t>(t.y1 - t.y0) * wd;
 
                 std::vector<int32_t>& buf =
                     wband_[static_cast<size_t>(worker)];
@@ -201,8 +361,8 @@ QuantExecutor::lower_conv(const plan::OpIR& op)
                         "ringcnn: injected fault: int8 conv kernel task");
                 }
                 for (int gi = 0; gi < gn; ++gi) {
-                    K.conv_rows(x.v.data(), h, wd, t.group * gn + gi, t.y0,
-                                t.y1, buf.data() + gi * brow);
+                    K.conv_rows(px, t.group * gn + gi, t.y0, t.y1,
+                                buf.data() + gi * brow);
                 }
 
                 if (cs != nullptr) {
@@ -231,124 +391,39 @@ QuantExecutor::lower_conv(const plan::OpIR& op)
                     }
                 }
 
+                // The fused epilogue over the band, 8 px per int32
+                // register: operation for operation the QRequantNode /
+                // QDirReluNode oracle (Fig. 8 on-the-fly pipeline or
+                // the quantize-first ablation), exact in int32 by the
+                // lowering's epilogue_fits_i32 proof.
+                const int base = t.group * gn;
+                const int64_t orow = static_cast<int64_t>(t.y0) * wd;
                 if (dir == nullptr && req == nullptr) {
                     // Unfused: hand the wide accumulators through.
                     for (int gi = 0; gi < gn; ++gi) {
-                        std::memcpy(o.ch(t.group * gn + gi) +
-                                        static_cast<int64_t>(t.y0) * wd,
+                        std::memcpy(o.ch(base + gi) + orow,
                                     buf.data() + gi * brow,
                                     static_cast<size_t>(brow) *
                                         sizeof(int32_t));
                     }
-                    return;
-                }
-
-                if (req != nullptr) {
-                    // Fused requant (optionally ReLU-first) epilogue.
-                    const int oc = t.group;  // gn == 1
-                    const int shift =
-                        K.out_frac()[static_cast<size_t>(oc)] -
-                        req->target[static_cast<size_t>(oc)];
-                    int32_t* orow =
-                        o.ch(oc) + static_cast<int64_t>(t.y0) * wd;
-                    for (int64_t p = 0; p < brow; ++p) {
-                        int64_t v = buf[static_cast<size_t>(p)];
-                        if (req->relu_first && v < 0) v = 0;
-                        orow[p] = static_cast<int32_t>(
-                            shift_round_saturate(v, shift, req->bits));
-                    }
-                    return;
-                }
-
-                // Fused directional-ReLU epilogue (Fig. 8 on-the-fly
-                // pipeline, or the quantize-first ablation), per
-                // n-tuple of conv bands. The per-pixel arithmetic below
-                // mirrors onthefly_directional_relu / the QDirReluNode
-                // else-branch operation for operation, on stack tuples
-                // instead of heap vectors — keep them consistent. All
-                // per-task setup (alignment/output shift amounts,
-                // butterfly width, row pointers) and the pipeline
-                // branch are hoisted out of the pixel loop; the int64
-                // tuple math itself stays scalar — AVX2 lacks 64-bit
-                // arithmetic right shifts and saturation, so 4-wide
-                // epi64 lanes measured no faster than this form (see
-                // README "Training performance").
-                const int n = gn;
-                const int base = t.group * n;
-                int ny[kMaxTuple] = {0}, nx[kMaxTuple] = {0};
-                for (int i = 0; i < n; ++i) {
-                    ny[i] = K.out_frac()[static_cast<size_t>(base + i)];
-                    nx[i] = dir->out_frac[static_cast<size_t>(base + i)];
-                }
-                int fmax = ny[0];
-                for (int i = 1; i < n; ++i) fmax = std::max(fmax, ny[i]);
-                const int log2n = ceil_log2(n);
-                const int32_t* brows[kMaxTuple];
-                int32_t* orows[kMaxTuple];
-                for (int i = 0; i < n; ++i) {
-                    brows[i] = buf.data() + static_cast<int64_t>(i) * brow;
-                    orows[i] = o.ch(base + i) +
-                               static_cast<int64_t>(t.y0) * wd;
-                }
-                if (dir->onthefly) {
-                    // Align left-shifts to the widest frac (unsigned
-                    // shift: same bits, no UB on negatives), two
-                    // butterflies around the rectifier, one final
-                    // per-component round/saturate.
-                    int lsh[kMaxTuple], rsh[kMaxTuple];
-                    for (int i = 0; i < n; ++i) {
-                        lsh[i] = fmax - ny[i];
-                        rsh[i] = fmax + log2n - nx[i];
-                    }
-                    for (int64_t p = 0; p < brow; ++p) {
-                        int64_t tv[kMaxTuple];
-                        for (int i = 0; i < n; ++i) {
-                            tv[i] = static_cast<int64_t>(
-                                static_cast<uint64_t>(static_cast<int64_t>(
-                                    brows[i][p]))
-                                << lsh[i]);
-                        }
-                        wht_inplace(tv, n);
-                        for (int i = 0; i < n; ++i) {
-                            if (tv[i] < 0) tv[i] = 0;
-                        }
-                        wht_inplace(tv, n);
-                        for (int i = 0; i < n; ++i) {
-                            orows[i][p] =
-                                static_cast<int32_t>(shift_round_saturate(
-                                    tv[i], rsh[i], dir->bits));
-                        }
-                    }
+                } else if (req != nullptr) {
+                    simd::requant_i32(o.ch(base) + orow, buf.data(), brow,
+                                      sh->a[static_cast<size_t>(base)],
+                                      req->bits, req->relu_first);
                 } else {
-                    // Quantize-first ablation, operation for operation
-                    // the QDirReluNode else-branch.
-                    int qsh[kMaxTuple], msh[kMaxTuple], osh[kMaxTuple];
-                    for (int i = 0; i < n; ++i) {
-                        qsh[i] = ny[i] -
-                                 dir->pre_frac[static_cast<size_t>(base + i)];
-                        msh[i] = dir->pre_frac[static_cast<size_t>(base)] -
-                                 dir->mid_frac[static_cast<size_t>(base + i)];
-                        osh[i] = dir->mid_frac[static_cast<size_t>(base)] -
-                                 nx[i] + log2n;
+                    const int32_t* src[kMaxTuple];
+                    int32_t* dst[kMaxTuple];
+                    for (int i = 0; i < gn; ++i) {
+                        src[i] = buf.data() + i * brow;
+                        dst[i] = o.ch(base + i) + orow;
                     }
-                    for (int64_t p = 0; p < brow; ++p) {
-                        int64_t yv[kMaxTuple];
-                        for (int i = 0; i < n; ++i) {
-                            yv[i] = shift_round_saturate(brows[i][p], qsh[i],
-                                                         dir->bits);
-                        }
-                        wht_inplace(yv, n);
-                        for (int i = 0; i < n; ++i) {
-                            const int64_t v = shift_round_saturate(
-                                yv[i], msh[i], dir->bits);
-                            yv[i] = v > 0 ? v : 0;
-                        }
-                        wht_inplace(yv, n);
-                        for (int i = 0; i < n; ++i) {
-                            orows[i][p] =
-                                static_cast<int32_t>(shift_round_saturate(
-                                    yv[i], osh[i], dir->bits));
-                        }
+                    if (dir->onthefly) {
+                        simd::dir_relu_otf_i32(dst, src, gn, &sh->a[base],
+                                               &sh->b[base], dir->bits, brow);
+                    } else {
+                        simd::dir_relu_qfirst_i32(dst, src, gn, &sh->a[base],
+                                                  &sh->b[base], &sh->c[base],
+                                                  dir->bits, brow);
                     }
                 }
             },
@@ -366,12 +441,13 @@ QuantExecutor::lower_conv(const plan::OpIR& op)
                 }
             }
             for (int b = 0; b < batch; ++b) {
-                IAct& x = ins[static_cast<size_t>(b)];
+                const QuantPackedInput& px =
+                    packed_in_[static_cast<size_t>(b)];
                 plan::abft_check_i64(
                     *cs,
                     vb->in_sums.data() + static_cast<size_t>(b) * taps,
                     vb->out_sums.data() + static_cast<size_t>(b) * co,
-                    x.shape[1], x.shape[2], opidx, gn);
+                    px.h, px.w, opidx, gn);
             }
         }
     });
@@ -395,6 +471,58 @@ QuantExecutor::lower_fallback(const QNode* node, int in, int out)
                               "fallback activation exceeds the int32 arena");
                 o.v[j] = static_cast<int32_t>(r.v[j]);
             }
+        }
+    });
+}
+
+void
+QuantExecutor::lower_aligned_add(const std::vector<int>* out_frac, int bits,
+                                 int a_slot, int b_slot, int out)
+{
+    // Both operands shift onto the output format at bits + 2, then the
+    // sum saturates to bits — the QResidualNode / QTwoBranchNode
+    // sequence. In place over either input slot when the plan allows
+    // it: each (image, channel) plane reads its inputs before writing
+    // the same positions, and the fracs are read before O.frac is.
+    steps_.push_back([this, out_frac, bits, a_slot, b_slot, out](int batch) {
+        auto& as = slots_[static_cast<size_t>(a_slot)];
+        auto& bs = slots_[static_cast<size_t>(b_slot)];
+        auto& outs = slots_[static_cast<size_t>(out)];
+        const int c = as[0].shape[0];
+        for (int b = 0; b < batch; ++b) {
+            outs[static_cast<size_t>(b)].reset(
+                as[static_cast<size_t>(b)].shape);  // no-op when aliased
+        }
+        util::parallel_for(
+            static_cast<int64_t>(batch) * c,
+            [&](int64_t i) {
+                const size_t b = static_cast<size_t>(i / c);
+                const int ch = static_cast<int>(i % c);
+                const IAct& A = as[b];
+                const IAct& B = bs[b];
+                const int target = (*out_frac)[static_cast<size_t>(ch)];
+                const int sa = A.frac[static_cast<size_t>(ch)] - target;
+                const int sb = B.frac[static_cast<size_t>(ch)] - target;
+                const int32_t* pa = A.ch(ch);
+                const int32_t* pb = B.ch(ch);
+                int32_t* po = outs[b].ch(ch);
+                const int64_t plane = A.plane();
+                if (sa >= -31 && sb >= -31 && bits <= 29) {
+                    simd::add_aligned_i32(po, pa, pb, plane, sa, sb, bits);
+                    return;
+                }
+                for (int64_t p = 0; p < plane; ++p) {
+                    const int64_t va =
+                        shift_round_saturate(pa[p], sa, bits + 2);
+                    const int64_t vb =
+                        shift_round_saturate(pb[p], sb, bits + 2);
+                    po[p] = static_cast<int32_t>(
+                        shift_round_saturate(va + vb, 0, bits));
+                }
+            },
+            threads_);
+        for (int b = 0; b < batch; ++b) {
+            outs[static_cast<size_t>(b)].frac = *out_frac;
         }
     });
 }
@@ -457,35 +585,46 @@ QuantExecutor::lower()
             steps_.push_back([this, in, out, r](int batch) {
                 auto& ins = slots_[static_cast<size_t>(in)];
                 auto& outs = slots_[static_cast<size_t>(out)];
+                const int c = ins[0].shape[0] / (r * r);
                 for (int b = 0; b < batch; ++b) {
                     IAct& x = ins[static_cast<size_t>(b)];
                     IAct& o = outs[static_cast<size_t>(b)];
-                    const int c = x.shape[0] / (r * r);
-                    const int h = x.shape[1], w = x.shape[2];
-                    o.reset({c, h * r, w * r});
+                    o.reset({c, x.shape[1] * r, x.shape[2] * r});
                     o.frac.resize(static_cast<size_t>(c));
                     for (int oc = 0; oc < c; ++oc) {
                         o.frac[static_cast<size_t>(oc)] =
                             x.frac[static_cast<size_t>(oc * r * r)];
+                    }
+                }
+                // One task per (image, output channel).
+                util::parallel_for(
+                    static_cast<int64_t>(batch) * c,
+                    [&](int64_t i) {
+                        const IAct& x = ins[static_cast<size_t>(i / c)];
+                        IAct& o = outs[static_cast<size_t>(i / c)];
+                        const int oc = static_cast<int>(i % c);
+                        const int h = x.shape[1], w = x.shape[2];
+                        int32_t* dst = o.ch(oc);
                         for (int dy = 0; dy < r; ++dy) {
                             for (int dx = 0; dx < r; ++dx) {
-                                const int ic = (oc * r + dy) * r + dx;
-                                const int32_t* src = x.ch(ic);
-                                int32_t* dst = o.ch(oc);
+                                const int32_t* src =
+                                    x.ch((oc * r + dy) * r + dx);
                                 for (int y = 0; y < h; ++y) {
+                                    int32_t* drow =
+                                        dst +
+                                        (static_cast<int64_t>(y) * r + dy) *
+                                            (w * r) +
+                                        dx;
+                                    const int32_t* srow =
+                                        src + static_cast<int64_t>(y) * w;
                                     for (int xx = 0; xx < w; ++xx) {
-                                        dst[(static_cast<int64_t>(y) * r +
-                                             dy) *
-                                                (w * r) +
-                                            xx * r + dx] =
-                                            src[static_cast<int64_t>(y) * w +
-                                                xx];
+                                        drow[xx * r] = srow[xx];
                                     }
                                 }
                             }
                         }
-                    }
-                }
+                    },
+                    threads_);
             });
             break;
         }
@@ -494,33 +633,45 @@ QuantExecutor::lower()
             steps_.push_back([this, in, out, r](int batch) {
                 auto& ins = slots_[static_cast<size_t>(in)];
                 auto& outs = slots_[static_cast<size_t>(out)];
+                const int c = ins[0].shape[0];
                 for (int b = 0; b < batch; ++b) {
                     IAct& x = ins[static_cast<size_t>(b)];
                     IAct& o = outs[static_cast<size_t>(b)];
-                    const int c = x.shape[0];
-                    const int h = x.shape[1] / r, w = x.shape[2] / r;
-                    o.reset({c * r * r, h, w});
+                    o.reset({c * r * r, x.shape[1] / r, x.shape[2] / r});
                     o.frac.resize(static_cast<size_t>(c) * r * r);
-                    for (int ic = 0; ic < c; ++ic) {
+                    for (int oc = 0; oc < c * r * r; ++oc) {
+                        o.frac[static_cast<size_t>(oc)] =
+                            x.frac[static_cast<size_t>(oc / (r * r))];
+                    }
+                }
+                // One task per (image, input channel).
+                util::parallel_for(
+                    static_cast<int64_t>(batch) * c,
+                    [&](int64_t i) {
+                        const IAct& x = ins[static_cast<size_t>(i / c)];
+                        IAct& o = outs[static_cast<size_t>(i / c)];
+                        const int ic = static_cast<int>(i % c);
+                        const int h = o.shape[1], w = o.shape[2];
+                        const int32_t* src = x.ch(ic);
                         for (int dy = 0; dy < r; ++dy) {
                             for (int dx = 0; dx < r; ++dx) {
-                                const int oc = (ic * r + dy) * r + dx;
-                                o.frac[static_cast<size_t>(oc)] =
-                                    x.frac[static_cast<size_t>(ic)];
-                                const int32_t* src = x.ch(ic);
-                                int32_t* dst = o.ch(oc);
+                                int32_t* dst = o.ch((ic * r + dy) * r + dx);
                                 for (int y = 0; y < h; ++y) {
+                                    const int32_t* srow =
+                                        src +
+                                        (static_cast<int64_t>(y) * r + dy) *
+                                            (w * r) +
+                                        dx;
+                                    int32_t* drow =
+                                        dst + static_cast<int64_t>(y) * w;
                                     for (int xx = 0; xx < w; ++xx) {
-                                        dst[static_cast<int64_t>(y) * w +
-                                            xx] =
-                                            src[(static_cast<int64_t>(y) * r +
-                                                 dy) * (w * r) + xx * r + dx];
+                                        drow[xx] = srow[xx * r];
                                     }
                                 }
                             }
                         }
-                    }
-                }
+                    },
+                    threads_);
             });
             break;
         }
@@ -566,88 +717,17 @@ QuantExecutor::lower()
             break;
         }
         case OpKind::kResidualAdd: {
-            // in0 is the body result, in1 the skip input; the aligned
-            // add shifts both onto the node's output format. In place
-            // over the body slot when the plan allows it.
+            // in0 is the body result, in1 the skip input.
             const auto* res = static_cast<const QResidualNode*>(op.node);
-            const int body_out = op.in0_slot;
-            const int skip = op.in1_slot;
-            steps_.push_back([this, res, skip, body_out, out](int batch) {
-                auto& as = slots_[static_cast<size_t>(skip)];
-                auto& bs = slots_[static_cast<size_t>(body_out)];
-                auto& outs = slots_[static_cast<size_t>(out)];
-                for (int b = 0; b < batch; ++b) {
-                    IAct& A = as[static_cast<size_t>(b)];
-                    IAct& B = bs[static_cast<size_t>(b)];
-                    IAct& O = outs[static_cast<size_t>(b)];
-                    const int c = A.shape[0];
-                    const int64_t plane = A.plane();
-                    const Shape shape = A.shape;
-                    for (int ch = 0; ch < c; ++ch) {
-                        // Shifts read before O.frac overwrites an alias.
-                        const int target =
-                            res->out_frac[static_cast<size_t>(ch)];
-                        const int sa =
-                            A.frac[static_cast<size_t>(ch)] - target;
-                        const int sb =
-                            B.frac[static_cast<size_t>(ch)] - target;
-                        const int32_t* pa = A.ch(ch);
-                        const int32_t* pb = B.ch(ch);
-                        if (ch == 0) O.reset(shape);  // no-op when aliased
-                        int32_t* po = O.ch(ch);
-                        for (int64_t p = 0; p < plane; ++p) {
-                            const int64_t va = shift_round_saturate(
-                                pa[p], sa, res->bits + 2);
-                            const int64_t vb = shift_round_saturate(
-                                pb[p], sb, res->bits + 2);
-                            po[p] = static_cast<int32_t>(
-                                shift_round_saturate(va + vb, 0, res->bits));
-                        }
-                    }
-                    O.frac = res->out_frac;
-                }
-            });
+            lower_aligned_add(&res->out_frac, res->bits, op.in1_slot,
+                              op.in0_slot, out);
             break;
         }
         case OpKind::kBranchAdd: {
             // in0 is the main branch, in1 the skip branch.
             const auto* two = static_cast<const QTwoBranchNode*>(op.node);
-            const int main_out = op.in0_slot;
-            const int skip_out = op.in1_slot;
-            steps_.push_back([this, two, main_out, skip_out, out](int batch) {
-                auto& as = slots_[static_cast<size_t>(main_out)];
-                auto& bs = slots_[static_cast<size_t>(skip_out)];
-                auto& outs = slots_[static_cast<size_t>(out)];
-                for (int b = 0; b < batch; ++b) {
-                    IAct& A = as[static_cast<size_t>(b)];
-                    IAct& B = bs[static_cast<size_t>(b)];
-                    IAct& O = outs[static_cast<size_t>(b)];
-                    const int c = A.shape[0];
-                    const int64_t plane = A.plane();
-                    const Shape shape = A.shape;
-                    for (int ch = 0; ch < c; ++ch) {
-                        const int target =
-                            two->out_frac[static_cast<size_t>(ch)];
-                        const int sa =
-                            A.frac[static_cast<size_t>(ch)] - target;
-                        const int sb2 =
-                            B.frac[static_cast<size_t>(ch)] - target;
-                        const int32_t* pa = A.ch(ch);
-                        const int32_t* pb = B.ch(ch);
-                        if (ch == 0) O.reset(shape);
-                        int32_t* po = O.ch(ch);
-                        for (int64_t p = 0; p < plane; ++p) {
-                            const int64_t va = shift_round_saturate(
-                                pa[p], sa, two->bits + 2);
-                            const int64_t vb = shift_round_saturate(
-                                pb[p], sb2, two->bits + 2);
-                            po[p] = static_cast<int32_t>(
-                                shift_round_saturate(va + vb, 0, two->bits));
-                        }
-                    }
-                    O.frac = two->out_frac;
-                }
-            });
+            lower_aligned_add(&two->out_frac, two->bits, op.in0_slot,
+                              op.in1_slot, out);
             break;
         }
         case OpKind::kUpsample: {
@@ -725,17 +805,24 @@ QuantExecutor::ensure_batch(int count)
 {
     if (count <= batch_capacity_) return;
     for (auto& slot : slots_) slot.resize(static_cast<size_t>(count));
+    packed_in_.resize(static_cast<size_t>(count));
     batch_capacity_ = count;
 }
 
 void
-QuantExecutor::exec(const QAct* const* ins, int count)
+QuantExecutor::begin(int count)
 {
     threads_ = util::resolve_threads(opt_.threads);
     if (static_cast<int>(wband_.size()) < threads_) {
         wband_.resize(static_cast<size_t>(threads_));
     }
     ensure_batch(count);
+}
+
+void
+QuantExecutor::exec(const QAct* const* ins, int count)
+{
+    begin(count);
     auto& entry = slots_[static_cast<size_t>(entry_slot_)];
     for (int b = 0; b < count; ++b) {
         const QAct& q = *ins[b];
@@ -802,18 +889,38 @@ QuantExecutor::forward(const std::vector<Tensor>& xs)
 void
 QuantExecutor::forward_into(const Tensor* const* xs, Tensor* outs, int count)
 {
-    std::vector<QAct> ins(static_cast<size_t>(count));
-    std::vector<const QAct*> ptrs(static_cast<size_t>(count));
-    for (int i = 0; i < count; ++i) {
-        ins[static_cast<size_t>(i)] =
-            QuantizedModel::quantize_input(*xs[i], input_fmt_);
-        ptrs[static_cast<size_t>(i)] = &ins[static_cast<size_t>(i)];
-    }
-    exec(ptrs.data(), count);
+    // Quantizes straight into the entry slot and dequantizes straight
+    // out of the output slot: the same QFormat rounding and the same
+    // double scaling as quantize_input / dequantize, without the int64
+    // QAct round trip. The input format saturates to feature_bits, the
+    // width the plan was proven for.
+    begin(count);
+    auto& entry = slots_[static_cast<size_t>(entry_slot_)];
     for (int b = 0; b < count; ++b) {
-        IAct& o = slots_[static_cast<size_t>(out_slot_)]
-                        [static_cast<size_t>(b)];
-        outs[b] = QuantizedModel::dequantize(to_qact(o.shape, o.v, o.frac));
+        const Tensor& x = *xs[b];
+        RINGCNN_CHECK(x.shape().size() == 3,
+                      "quantized executor input must be CHW");
+        IAct& e = entry[static_cast<size_t>(b)];
+        e.reset(x.shape());
+        e.frac.assign(static_cast<size_t>(x.dim(0)), input_fmt_.frac);
+        input_fmt_.quantize_row(x.data(), x.numel(), e.v.data());
+    }
+    for (auto& step : steps_) step(count);
+    for (int b = 0; b < count; ++b) {
+        const IAct& o = slots_[static_cast<size_t>(out_slot_)]
+                              [static_cast<size_t>(b)];
+        Tensor& y = outs[b];
+        y = Tensor(o.shape);
+        const int64_t plane = o.plane();
+        for (int c = 0; c < o.shape[0]; ++c) {
+            const double scale =
+                std::ldexp(1.0, -o.frac[static_cast<size_t>(c)]);
+            const int32_t* src = o.ch(c);
+            float* dst = y.data() + c * plane;
+            for (int64_t p = 0; p < plane; ++p) {
+                dst[p] = static_cast<float>(src[p] * scale);
+            }
+        }
     }
 }
 

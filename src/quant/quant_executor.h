@@ -9,33 +9,41 @@
  * fuse epilogues -> arena assignment) and lowers the IR to integer
  * kernels, the way nn::ModelExecutor lowers the float model:
  *
- *  - every QConvNode becomes a core::QuantConvKernel — pre-quantized
- *    int8 weights in band-contiguous tap order, int32 bias, int32
- *    accumulation through the simd::axpy_i32 row kernels — and the
- *    QDirReluNode / QRequantNode the fusion pass attached to it (one
- *    always follows a conv in the graph) runs in the band pass as an
- *    integer epilogue: align shifts, Hadamard butterfly, rectify,
- *    butterfly, per-component round/saturate (the Fig. 8 on-the-fly
- *    pipeline), or the quantize-first ablation sequence, in one pass
- *    per output band while the accumulators are hot;
+ *  - every QConvNode becomes a core::QuantConvKernel — int8 weights
+ *    compiled into nonzero channel-pair tap tables, int32 bias — and
+ *    runs on an 8-bit datapath: the step first packs each input image
+ *    into a shared zero-padded int16 scratch with channels interleaved
+ *    in pairs, then every (image, output band, row band) task
+ *    accumulates in int32 registers, one vpmaddwd per tap pair
+ *    (simd::conv_pairs_i16). The QDirReluNode / QRequantNode the
+ *    fusion pass attached to the conv (one always follows it in the
+ *    graph) runs on the band while it is hot, 8 px per int32 register
+ *    (simd::requant_i32 / dir_relu_otf_i32 / dir_relu_qfirst_i32):
+ *    align shifts, Hadamard butterfly, rectify, butterfly,
+ *    per-component round/saturate (the Fig. 8 on-the-fly pipeline), or
+ *    the quantize-first ablation sequence;
  *  - all other nodes (shuffles, pad/crop, residual and two-branch
  *    aligned adds, the fixed-point bilinear upsampler) become
  *    allocation-free steps over a slotted int32 activation arena
  *    recycled by the arena planner's compile-time liveness — after the
- *    first run the steady state performs no heap allocations;
+ *    first run at the largest batch and shape the steady state
+ *    performs no heap allocations; packing, the aligned adds and the
+ *    shuffles fan out per (image, channel) on the pool;
  *  - conv work parallelizes across (image, output band, row band)
  *    tasks on the persistent util::ThreadPool.
  *
  * Bit-exactness: every step performs the same integer operations as
- * the scalar QNode oracle. Integer addition is exact and
- * order-independent, so the reordered row-kernel conv is bit-identical
- * to the int64 reference whenever the true accumulator fits in int32;
- * the plan records the feature bits live at each conv's input and the
- * lowering proves that bound statically per conv
- * (QuantConvKernel::int32_safe), compiling any conv that fails it —
- * or whose weights exceed int8 — onto the scalar oracle node instead.
- * tests/test_quant_executor.cc pins the equivalence raw-integer by
- * raw-integer across rings, shapes, options, and thread counts.
+ * the scalar QNode oracle. A conv takes the fast path only when a
+ * static per-conv proof holds — its input width (op.in_bits, threaded
+ * through the plan) is at most 16 bits, so int16 packing is lossless;
+ * the worst-case accumulator fits int32
+ * (QuantConvKernel::int32_safe), so the reordered integer sums equal
+ * the int64 reference; and every intermediate of the fused epilogue
+ * (aligned values, butterfly sums, rounding adds, left shifts) fits
+ * int32. Any conv that fails — or whose weights exceed int8 — compiles
+ * onto the scalar oracle node instead. tests/test_quant_executor.cc
+ * pins the equivalence raw-integer by raw-integer across rings,
+ * shapes, options, and thread counts.
  *
  * The executor holds pointers into the model's node graph: the
  * QuantizedModel must outlive it. One executor serves one caller at a
@@ -106,13 +114,14 @@ class QuantExecutor
     size_t step_count() const { return steps_.size(); }
     /** Activation-arena slot count. */
     int slot_count() const { return static_cast<int>(slots_.size()); }
-    /** Convs compiled onto the int8/int32 row kernels. */
+    /** Convs compiled onto the int8 channel-pair datapath. */
     int fast_conv_count() const { return fast_convs_; }
-    /** Convs that fell back to the scalar oracle node (overflow-unsafe
-     *  bound or weights beyond int8). */
+    /** Convs that fell back to the scalar oracle node (input beyond
+     *  16 bits, accumulator or epilogue bound beyond int32, or weights
+     *  beyond int8). */
     int scalar_conv_count() const { return scalar_convs_; }
-    /** Zero weights the compiled kernels excluded from their tap
-     *  lists, summed over the fast convs (the quantized mirror of
+    /** Weights the compiled pair tables never multiply, summed over
+     *  the fast convs (the quantized mirror of
      *  nn::ModelExecutor::sparse_tap_skip_count). */
     int64_t sparse_tap_skip_count() const
     {
@@ -158,11 +167,16 @@ class QuantExecutor
     void lower();
     /** Conv with its fused requant/dir-relu epilogue annotation. */
     void lower_conv(const plan::OpIR& op);
+    /** Residual / two-branch join: aligned add of two slots. */
+    void lower_aligned_add(const std::vector<int>* out_frac, int bits,
+                           int a_slot, int b_slot, int out);
     /** Correct-but-allocating fallback through QNode::forward. */
     void lower_fallback(const QNode* node, int in, int out);
 
     int band_rows(int h, int groups_total) const;
     void ensure_batch(int count);
+    /** Per-call setup: thread count, worker bands, batch capacity. */
+    void begin(int count);
     void exec(const QAct* const* ins, int count);
 
     QuantExecOptions opt_;
@@ -179,6 +193,12 @@ class QuantExecutor
     std::vector<Step> steps_;
     std::vector<std::unique_ptr<QuantConvKernel>> kernels_;
     std::vector<std::vector<int32_t>> wband_;  ///< per-worker conv bands
+    /** Shared conv-input scratch: every fast conv step packs its batch
+     *  here (grow-only) before its tasks run, and the pool workers
+     *  read it. packed_in_[b] views image b's share. */
+    std::vector<int16_t> packed_;
+    std::vector<simd::PairTap> packed_taps_;
+    std::vector<QuantPackedInput> packed_in_;
     std::vector<ConvTask> tasks_;              ///< reused task list
     int threads_ = 1;
     int batch_capacity_ = 0;

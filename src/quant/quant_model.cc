@@ -812,9 +812,7 @@ QuantizedModel::quantize_input(const Tensor& x, const QFormat& fmt)
     in.shape = x.shape();
     in.v.resize(static_cast<size_t>(x.numel()));
     in.frac.assign(static_cast<size_t>(x.dim(0)), fmt.frac);
-    for (int64_t i = 0; i < x.numel(); ++i) {
-        in.v[static_cast<size_t>(i)] = fmt.quantize(x[i]);
-    }
+    fmt.quantize_row(x.data(), x.numel(), in.v.data());
     return in;
 }
 

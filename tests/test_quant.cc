@@ -116,50 +116,127 @@ TEST(QFormat, HugeFracSaturatesInsteadOfOverflowing)
     EXPECT_EQ(g.quantize(g.dequantize(100)), 100);
 }
 
-TEST(SimdInt32Rows, MatchInt64ReferenceIncludingWrapAndTails)
+TEST(QFormat, QuantizeRowMatchesPerElementQuantizeAndLlround)
 {
-    // Both int32 row kernels against an int64 reference reduced mod
-    // 2^32, over lengths that exercise the 8-wide AVX2 body and its
-    // scalar tail, with values at the int32 rim so the wrap semantics
-    // of the generic (uint32) and SIMD (mullo/add) builds are pinned
-    // to each other.
-    std::mt19937 rng(87);
-    std::uniform_int_distribution<int32_t> small(-128, 127);
-    const std::vector<int32_t> interesting = {
-        0, 1, -1, 127, -128, INT32_MAX, INT32_MIN, INT32_MAX - 1,
-    };
-    for (const int64_t len : {1, 7, 8, 9, 16, 31}) {
-        std::vector<int32_t> src(static_cast<size_t>(len));
-        std::vector<int32_t> dst(static_cast<size_t>(len));
-        for (int64_t i = 0; i < len; ++i) {
-            src[static_cast<size_t>(i)] =
-                (i % 3 == 0)
-                    ? interesting[static_cast<size_t>(i) %
-                                  interesting.size()]
-                    : small(rng);
-            dst[static_cast<size_t>(i)] = small(rng);
-        }
-        for (const int32_t a : {0, 1, -1, 127, -128, 77}) {
-            std::vector<int32_t> got = dst;
-            simd::axpy_i32(got.data(), src.data(), a, len);
-            for (int64_t i = 0; i < len; ++i) {
-                const uint64_t want =
-                    static_cast<uint32_t>(dst[static_cast<size_t>(i)]) +
-                    static_cast<uint32_t>(a) *
-                        static_cast<uint32_t>(src[static_cast<size_t>(i)]);
-                EXPECT_EQ(got[static_cast<size_t>(i)],
-                          static_cast<int32_t>(
-                              static_cast<uint32_t>(want)))
-                    << "axpy len=" << len << " a=" << a << " i=" << i;
+    // quantize_row hoists the 2^frac scale and replaces llround with a
+    // truncate-and-compare; both must reproduce per-element quantize()
+    // (ldexp + llround) exactly: half-way ties in both signs, the
+    // largest double below one half, saturation, NaN, subnormal
+    // products, and fracs outside the normal-double range.
+    std::vector<float> xs = {0.0f,   -0.0f,  0.5f,     -0.5f,  1.5f,
+                             -1.5f,  2.5f,   -2.5f,    0.75f,  -0.75f,
+                             1e-30f, -1e-30f, 1e30f,   -1e30f, 127.4f,
+                             -128.6f, 3.0e-39f, std::nanf("")};
+    std::mt19937 rng(89);
+    std::uniform_real_distribution<float> dist(-4.0f, 4.0f);
+    for (int i = 0; i < 500; ++i) xs.push_back(dist(rng));
+    for (const int bits : {8, 16, 30}) {
+        for (const int frac : {-1100, -40, -3, 0, 1, 5, 7, 20, 1100}) {
+            const QFormat f{bits, frac};
+            std::vector<int64_t> row(xs.size());
+            f.quantize_row(xs.data(), static_cast<int64_t>(xs.size()),
+                           row.data());
+            for (size_t i = 0; i < xs.size(); ++i) {
+                EXPECT_EQ(row[i], f.quantize(xs[i]))
+                    << "bits=" << bits << " frac=" << frac << " x=" << xs[i];
             }
-            simd::scale_i32(got.data(), src.data(), a, len);
-            for (int64_t i = 0; i < len; ++i) {
-                const uint32_t want =
-                    static_cast<uint32_t>(a) *
-                    static_cast<uint32_t>(src[static_cast<size_t>(i)]);
-                EXPECT_EQ(got[static_cast<size_t>(i)],
-                          static_cast<int32_t>(want))
-                    << "scale len=" << len << " a=" << a << " i=" << i;
+        }
+    }
+    const QFormat wide{32, 0};
+    for (const double v : {0.49999999999999994, -0.49999999999999994, 0.5,
+                           -0.5, 2.5, -2.5, 1e9 + 0.5, -1e9 - 0.5,
+                           2147483646.5, -2147483647.5}) {
+        EXPECT_EQ(wide.round_saturate(v), std::llround(v)) << v;
+    }
+}
+
+TEST(SimdPairConv, DispatchedKernelMatchesInt64ReferenceModulo2e32)
+{
+    // The dispatched channel-pair conv (through QuantConvKernel's
+    // packing and tap binding) against a direct int64 "same" conv
+    // reduced mod 2^32, over widths that exercise the 8-pixel AVX2
+    // blocks and their masked tails, row bands that exercise the
+    // 4-row blocks and their remainders, an odd channel count (the
+    // zero-padded pair tail), weights at -128/127, all-zero pairs
+    // (compiled away) and half-zero pairs, int16-rim inputs, and a
+    // bias near INT32_MAX whose accumulators wrap.
+    const int co = 3, ci = 5, k = 3, h = 7;
+    std::mt19937 rng(88);
+    std::uniform_int_distribution<int32_t> wdist(-128, 127);
+    std::vector<int32_t> wts(static_cast<size_t>(co) * ci * k * k);
+    for (size_t i = 0; i < wts.size(); ++i) {
+        const int oc = static_cast<int>(i / (ci * k * k));
+        const int ic = static_cast<int>(i / (k * k)) % ci;
+        if (oc == 0 && ic < 2) {
+            wts[i] = 0;  // channel pair (0, 1) all zero for oc 0
+        } else if (oc == 1 && ic == 3) {
+            wts[i] = 0;  // pair (2, 3) half zero for oc 1
+        } else {
+            wts[i] = i % 5 == 0 ? -128 : (i % 7 == 0 ? 127 : wdist(rng));
+        }
+    }
+    const std::vector<int64_t> bias = {INT64_C(2147483647) - 5, -77, 0};
+    const QuantConvKernel kern(co, ci, k, wts, bias, {0, 0, 0});
+    ASSERT_TRUE(kern.weights_fit());
+    // oc 0's all-zero pair is compiled away (9 taps, 2 weights each).
+    EXPECT_EQ(kern.sparse_tap_skip_count(), 2 * k * k);
+
+    std::uniform_int_distribution<int32_t> xdist(-32768, 32767);
+    for (const int w : {1, 7, 8, 9, 31, 32, 33, 40}) {
+        std::vector<int32_t> x(static_cast<size_t>(ci) * h * w);
+        for (size_t i = 0; i < x.size(); ++i) {
+            x[i] = i % 11 == 0 ? -32768 : (i % 13 == 0 ? 32767 : xdist(rng));
+        }
+        std::vector<int16_t> xp(static_cast<size_t>(kern.packed_elems(h, w)));
+        std::vector<simd::PairTap> tp(
+            static_cast<size_t>(kern.pair_tap_count()));
+        kern.pack_input(x.data(), h, w, xp.data(), tp.data());
+        const QuantPackedInput px{xp.data(), tp.data(), h, w};
+        for (const int band : {1, 2, 3, 4, 5, 7}) {
+            for (int oc = 0; oc < co; ++oc) {
+                for (int y0 = 0; y0 < h; y0 += band) {
+                    const int y1 = std::min(y0 + band, h);
+                    std::vector<int32_t> got(
+                        static_cast<size_t>(y1 - y0) * w, 0);
+                    kern.conv_rows(px, oc, y0, y1, got.data());
+                    for (int y = y0; y < y1; ++y) {
+                        for (int xx = 0; xx < w; ++xx) {
+                            int64_t want = bias[static_cast<size_t>(oc)];
+                            for (int ic = 0; ic < ci; ++ic) {
+                                for (int ky = 0; ky < k; ++ky) {
+                                    for (int kx = 0; kx < k; ++kx) {
+                                        const int iy = y + ky - 1;
+                                        const int ix = xx + kx - 1;
+                                        if (iy < 0 || iy >= h || ix < 0 ||
+                                            ix >= w) {
+                                            continue;
+                                        }
+                                        want +=
+                                            static_cast<int64_t>(
+                                                wts[((static_cast<size_t>(oc) *
+                                                          ci +
+                                                      ic) *
+                                                         k +
+                                                     ky) *
+                                                        k +
+                                                    kx]) *
+                                            x[(static_cast<size_t>(ic) * h +
+                                               iy) *
+                                                  w +
+                                              ix];
+                                    }
+                                }
+                            }
+                            EXPECT_EQ(got[static_cast<size_t>(y - y0) * w +
+                                          xx],
+                                      static_cast<int32_t>(
+                                          static_cast<uint32_t>(want)))
+                                << "w=" << w << " band=" << band
+                                << " oc=" << oc << " y=" << y
+                                << " x=" << xx;
+                        }
+                    }
+                }
             }
         }
     }
@@ -198,6 +275,9 @@ TEST(QuantConvKernel, AccumulatorsAtInt32ExtremesMatchOracle)
     const QAct want = oracle.forward(in);
 
     std::vector<int32_t> x32(in.v.begin(), in.v.end());
+    std::vector<int16_t> xp(static_cast<size_t>(kern.packed_elems(h, w)));
+    std::vector<simd::PairTap> tp(static_cast<size_t>(kern.pair_tap_count()));
+    kern.pack_input(x32.data(), h, w, xp.data(), tp.data());
     // Every row banding must agree with the whole-plane oracle.
     for (const int band : {1, 2, 3}) {
         for (int oc = 0; oc < co; ++oc) {
@@ -205,7 +285,8 @@ TEST(QuantConvKernel, AccumulatorsAtInt32ExtremesMatchOracle)
                 const int y1 = std::min(y0 + band, h);
                 std::vector<int32_t> rows(
                     static_cast<size_t>(y1 - y0) * w, 0);
-                kern.conv_rows(x32.data(), h, w, oc, y0, y1, rows.data());
+                kern.conv_rows({xp.data(), tp.data(), h, w}, oc, y0, y1,
+                               rows.data());
                 for (int y = y0; y < y1; ++y) {
                     for (int xx = 0; xx < w; ++xx) {
                         EXPECT_EQ(

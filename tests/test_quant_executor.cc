@@ -1,9 +1,9 @@
 /**
  * @file
  * Bit-exactness suite for the quantized engine path: the compiled
- * QuantExecutor (int8 weights, int32 accumulators, simd::axpy_i32 row
- * kernels, fused Fig. 8 integer epilogues) must reproduce the scalar
- * QNode oracle walk raw integer by raw integer — never tolerance-
+ * QuantExecutor (int8 weights over int16 channel pairs, int32
+ * accumulators, fused int32-lane Fig. 8 epilogues) must reproduce the
+ * scalar QNode oracle walk raw integer by raw integer — never tolerance-
  * compared — across every registered ring, odd/even image sizes,
  * k in {1, 3}, the on-the-fly vs quantize-first directional-ReLU
  * pipelines, component-wise vs uniform Q-formats, and thread counts,
@@ -276,6 +276,106 @@ TEST(QuantExecutorModel, WideWeightsFallBackToScalarAndStayExact)
     EXPECT_GT(ex.scalar_conv_count(), 0);
     expect_bit_identical(qm.root()->forward(in), ex.run(in),
                          "12-bit-weight fallback");
+}
+
+TEST(QuantExecutorGate, EpilogueBoundBreachCompilesToOracle)
+{
+    // The fast path's static proof covers the int32-lane epilogue: a
+    // directional ReLU whose accumulator fracs spread by 20 bits (the
+    // align left shifts of ExtremeFracSpreadsAlignExactly) cannot keep
+    // acc_bound * 2^20 * n^2 inside int32, so that conv — and only it —
+    // must compile onto the scalar oracle and stay bit-exact.
+    const Ring& ring = get_ring("RI4");
+    nn::Model m = ring_backbone(ring, 2, 2, 3, 57);
+    std::mt19937 rng(907);
+    std::vector<Tensor> calib{data::synthetic_image(2 * ring.n, 10, 10, rng)};
+    const QuantizedModel qm(m, calib);
+    const QAct in =
+        qm.quantize_input(data::synthetic_image(2 * ring.n, 10, 10, rng));
+    {
+        QuantExecutor ex(qm);
+        ASSERT_EQ(ex.fast_conv_count(), 2);
+        ASSERT_EQ(ex.scalar_conv_count(), 0);
+    }
+
+    // Rewrite the first conv's accumulator fracs and its dir-ReLU's
+    // output fracs in place (the graph is owned, non-const, by qm).
+    const auto* seq = dynamic_cast<const QSeq*>(qm.root());
+    ASSERT_NE(seq, nullptr);
+    QConvNode* conv = nullptr;
+    QDirReluNode* dir = nullptr;
+    for (const auto& node : seq->nodes) {
+        if (conv == nullptr) {
+            conv = dynamic_cast<QConvNode*>(node.get());
+        } else if (dir == nullptr) {
+            dir = dynamic_cast<QDirReluNode*>(node.get());
+        }
+    }
+    ASSERT_NE(conv, nullptr);
+    ASSERT_NE(dir, nullptr);
+    ASSERT_TRUE(dir->onthefly);
+    const std::vector<int> ny{0, 20, 5, 9}, nx{25, 2, 12, 30};
+    for (size_t c = 0; c < conv->out_frac.size(); ++c) {
+        conv->out_frac[c] = ny[c % 4];
+        dir->out_frac[c] = nx[c % 4];
+    }
+
+    QuantExecutor ex(qm);
+    EXPECT_EQ(ex.scalar_conv_count(), 1);
+    EXPECT_EQ(ex.fast_conv_count(), 1);
+    expect_bit_identical(qm.root()->forward(in), ex.run(in),
+                         "20-bit frac spread on the oracle path");
+}
+
+TEST(QuantExecutorGate, BenchmarkDenoiserPlanIsAllFast)
+{
+    // The benchmark's DnERNet-PU (RI4, C=16, B=2) on 64x64 tiles: every
+    // conv passes the static proof (int16 input, int32 accumulator and
+    // epilogue), and the engine matches the oracle.
+    models::ErnetConfig mc;
+    mc.channels = 16;
+    mc.blocks = 2;
+    nn::Model m = models::build_dn_ernet_pu(models::Algebra::with_fh("RI4"),
+                                            mc);
+    std::mt19937 rng(908);
+    std::vector<Tensor> calib{data::synthetic_image(3, 64, 64, rng)};
+    const QuantizedModel qm(m, calib);
+    QuantExecutor ex(qm);
+    EXPECT_EQ(ex.fast_conv_count(), 6);
+    EXPECT_EQ(ex.scalar_conv_count(), 0);
+    const QAct in = qm.quantize_input(data::synthetic_image(3, 64, 64, rng));
+    expect_bit_identical(qm.root()->forward(in), ex.run(in),
+                         "dn_ernet_pu RI4 C16 B2");
+}
+
+TEST(QuantExecutorModel, MixedOddWidthsAndShortImagesBitExact)
+{
+    // One batch mixing two shapes whose widths leave partial 8-pixel
+    // blocks (5, 33) and whose heights are below the kernel size, so
+    // every output row reads the zero border on both sides.
+    const Ring& ring = get_ring("RI4");
+    nn::Model m = ring_backbone(ring, 2, 2, 3, 58);
+    std::mt19937 rng(909);
+    std::vector<Tensor> calib{data::synthetic_image(2 * ring.n, 6, 9, rng)};
+    const QuantizedModel qm(m, calib);
+    std::vector<QAct> ins;
+    for (const auto& [h, w] : {std::pair{2, 5}, std::pair{1, 33},
+                               std::pair{2, 5}, std::pair{1, 33}}) {
+        ins.push_back(
+            qm.quantize_input(data::synthetic_image(2 * ring.n, h, w, rng)));
+    }
+    for (const int threads : {1, 3}) {
+        ThreadsEnv env(threads);
+        QuantExecutor ex(qm);
+        EXPECT_EQ(ex.scalar_conv_count(), 0);
+        const std::vector<QAct> got = ex.run(ins);
+        ASSERT_EQ(got.size(), ins.size());
+        for (size_t i = 0; i < ins.size(); ++i) {
+            expect_bit_identical(qm.root()->forward(ins[i]), got[i],
+                                 "image " + std::to_string(i) + " threads=" +
+                                     std::to_string(threads));
+        }
+    }
 }
 
 TEST(QuantExecutorProperty, HundredRandomDrawsBitExact)
