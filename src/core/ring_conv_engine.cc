@@ -920,14 +920,6 @@ QuantConvKernel::bind_taps(int h, int w, simd::PairTap* taps) const
 }
 
 void
-QuantConvKernel::pack_input(const int32_t* x, int h, int w, int16_t* xbuf,
-                            simd::PairTap* taps) const
-{
-    for (int p = 0; p < (ci_ + 1) / 2; ++p) pack_pair(x, h, w, p, xbuf);
-    bind_taps(h, w, taps);
-}
-
-void
 QuantConvKernel::conv_rows(const QuantPackedInput& in, int oc, int y0,
                            int y1, int32_t* dst) const
 {

@@ -273,7 +273,8 @@ class RingConvEngine
 
 /**
  * One image packed for QuantConvKernel::conv_rows: views of
- * caller-owned scratch that QuantConvKernel::pack_input filled.
+ * caller-owned scratch filled by QuantConvKernel::pack_pair (every
+ * pair) and bind_taps.
  */
 struct QuantPackedInput
 {
@@ -290,13 +291,14 @@ struct QuantPackedInput
  * Fig. 8 epilogue consumes — and, compiled from the int8 weights, one
  * table of nonzero channel-pair taps per output channel.
  *
- * The datapath is 8-bit. pack_input() interleaves the input channels
+ * The datapath is 8-bit. pack_pair() interleaves the input channels
  * in pairs into a zero-padded int16 image [ceil(ci/2)][h+2p][w+2p][2]
- * and binds the tap tables to its geometry (one int16 offset and two
- * packed int8 weights per entry). conv_rows() then accumulates a row
- * band of one output channel through simd::conv_pairs_i16: int32
- * accumulators initialized to the bias stay in registers while every
- * tap pair adds two products per lane (vpmaddwd). A pair whose two
+ * and bind_taps() binds the tap tables to its geometry (one int16
+ * offset and two packed int8 weights per entry). conv_rows() then
+ * accumulates a row band of one output channel through
+ * simd::conv_pairs_i16: int32 accumulators initialized to the bias
+ * stay in registers while every tap pair adds two products per lane
+ * (vpmaddwd). A pair whose two
  * weights are both zero — every pair of a pruned ring tuple — never
  * enters the table. Integer addition is exact and order-independent,
  * so the result is bit-identical to the scalar int64 QConvNode oracle
@@ -346,10 +348,10 @@ class QuantConvKernel
         return fits_ && acc_bound(in_bits) <= 2147483647.0;
     }
 
-    /** int16 elements pack_input writes for an h x w image, including
-     *  the simd::kPairConvSlack read slack. */
+    /** int16 elements of a packed h x w image, including the
+     *  simd::kPairConvSlack read slack. */
     int64_t packed_elems(int h, int w) const;
-    /** Entries of the pair-tap table pack_input binds. */
+    /** Entries of the pair-tap table bind_taps writes. */
     int64_t pair_tap_count() const
     {
         return static_cast<int64_t>(pair_taps_.size());
@@ -366,10 +368,6 @@ class QuantConvKernel
     /** Binds the pair-tap table (pair_tap_count() entries) to an
      *  h x w packed geometry. */
     void bind_taps(int h, int w, simd::PairTap* taps) const;
-    /** pack_pair for every pair plus bind_taps: one image ready for
-     *  conv_rows. */
-    void pack_input(const int32_t* x, int h, int w, int16_t* xbuf,
-                    simd::PairTap* taps) const;
 
     /**
      * Computes output rows [y0, y1) of channel oc into `dst`, a

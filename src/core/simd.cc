@@ -1,5 +1,7 @@
 #include "core/simd.h"
 
+#include "core/simd_generic.h"
+
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #define RINGCNN_X86_DISPATCH 1
 #include <immintrin.h>
@@ -134,46 +136,11 @@ matvec_rows_generic(float* dst, const float* const* srcs,
     }
 }
 
-// ---- int8 datapath, generic builds ----------------------------------------
+// ---- int8 datapath helpers --------------------------------------------------
 //
 // Integer lanes compute through uint32 so overflow wraps mod 2^32 in
 // every build (signed overflow is UB), matching the AVX2 lanes bit for
 // bit; right shifts are arithmetic on int32, as vpsrad.
-
-void
-pack_pairs_i16_generic(int16_t* dst, const int32_t* a, const int32_t* b,
-                       int64_t len)
-{
-    for (int64_t i = 0; i < len; ++i) {
-        dst[2 * i] = static_cast<int16_t>(a[i]);
-        dst[2 * i + 1] = b != nullptr ? static_cast<int16_t>(b[i]) : 0;
-    }
-}
-
-void
-conv_pairs_i16_generic(int32_t* dst, int64_t dst_stride, const int16_t* src,
-                       int64_t src_stride, const PairTap* taps, int ntaps,
-                       int32_t bias, int rows, int64_t len)
-{
-    for (int r = 0; r < rows; ++r) {
-        int32_t* row = dst + r * dst_stride;
-        const int16_t* base = src + r * src_stride;
-        for (int64_t i = 0; i < len; ++i) row[i] = bias;
-        for (int t = 0; t < ntaps; ++t) {
-            const int32_t lo = static_cast<int16_t>(taps[t].w & 0xffff);
-            const int32_t hi = static_cast<int16_t>(
-                static_cast<uint32_t>(taps[t].w) >> 16);
-            const int16_t* s = base + taps[t].off;
-            for (int64_t i = 0; i < len; ++i) {
-                // Each product and their sum fit int32 (|x| <= 2^15,
-                // |w| <= 2^7), exactly as in one vpmaddwd lane.
-                const int32_t m = lo * s[2 * i] + hi * s[2 * i + 1];
-                row[i] = static_cast<int32_t>(static_cast<uint32_t>(row[i]) +
-                                              static_cast<uint32_t>(m));
-            }
-        }
-    }
-}
 
 /** One shift/round/saturate stage in the branch-free form the AVX2
  *  lanes use: add the rounding half, arithmetic right shift, left
@@ -257,23 +224,51 @@ exact_srs(int s, int bits)
     return e;
 }
 
+constexpr int kMaxLanesTuple = 16;  ///< widest tuple the epilogues take
+
+}  // namespace
+
+// ---- int8 datapath, generic builds (declared in simd_generic.h) ----------
+
+namespace generic {
+
 void
-add_aligned_i32_generic(int32_t* dst, const int32_t* a, const int32_t* b,
-                        int64_t len, int sa, int sb, int bits)
+pack_pairs_i16(int16_t* dst, const int32_t* a, const int32_t* b, int64_t len)
 {
-    const ExactSrs ea = exact_srs(sa, bits + 2), eb = exact_srs(sb, bits + 2);
-    const int32_t hi = sat_hi(bits), lo = -hi - 1;
     for (int64_t i = 0; i < len; ++i) {
-        const int32_t v = ea.apply(a[i]) + eb.apply(b[i]);
-        dst[i] = v < lo ? lo : (v > hi ? hi : v);
+        dst[2 * i] = static_cast<int16_t>(a[i]);
+        dst[2 * i + 1] = b != nullptr ? static_cast<int16_t>(b[i]) : 0;
     }
 }
 
-constexpr int kMaxLanesTuple = 16;  ///< widest tuple the epilogues take
+void
+conv_pairs_i16(int32_t* dst, int64_t dst_stride, const int16_t* src,
+               int64_t src_stride, const PairTap* taps, int ntaps,
+               int32_t bias, int rows, int64_t len)
+{
+    for (int r = 0; r < rows; ++r) {
+        int32_t* row = dst + r * dst_stride;
+        const int16_t* base = src + r * src_stride;
+        for (int64_t i = 0; i < len; ++i) row[i] = bias;
+        for (int t = 0; t < ntaps; ++t) {
+            const int32_t lo = static_cast<int16_t>(taps[t].w & 0xffff);
+            const int32_t hi = static_cast<int16_t>(
+                static_cast<uint32_t>(taps[t].w) >> 16);
+            const int16_t* s = base + taps[t].off;
+            for (int64_t i = 0; i < len; ++i) {
+                // Each product and their sum fit int32 (|x| <= 2^15,
+                // |w| <= 2^7), exactly as in one vpmaddwd lane.
+                const int32_t m = lo * s[2 * i] + hi * s[2 * i + 1];
+                row[i] = static_cast<int32_t>(static_cast<uint32_t>(row[i]) +
+                                              static_cast<uint32_t>(m));
+            }
+        }
+    }
+}
 
 void
-requant_i32_generic(int32_t* dst, const int32_t* src, int64_t len, int shift,
-                    int bits, bool relu_first)
+requant_i32(int32_t* dst, const int32_t* src, int64_t len, int shift,
+            int bits, bool relu_first)
 {
     const SrsStage st = srs_stage(shift);
     const int32_t hi = sat_hi(bits), lo = -hi - 1;
@@ -284,9 +279,9 @@ requant_i32_generic(int32_t* dst, const int32_t* src, int64_t len, int shift,
 }
 
 void
-dir_relu_otf_i32_generic(int32_t* const* dst, const int32_t* const* src,
-                         int n, const int* align, const int* out_shift,
-                         int bits, int64_t len)
+dir_relu_otf_i32(int32_t* const* dst, const int32_t* const* src, int n,
+                 const int* align, const int* out_shift, int bits,
+                 int64_t len)
 {
     SrsStage out[kMaxLanesTuple];
     for (int j = 0; j < n; ++j) out[j] = srs_stage(out_shift[j]);
@@ -305,9 +300,9 @@ dir_relu_otf_i32_generic(int32_t* const* dst, const int32_t* const* src,
 }
 
 void
-dir_relu_qfirst_i32_generic(int32_t* const* dst, const int32_t* const* src,
-                            int n, const int* in_shift, const int* mid_shift,
-                            const int* out_shift, int bits, int64_t len)
+dir_relu_qfirst_i32(int32_t* const* dst, const int32_t* const* src, int n,
+                    const int* in_shift, const int* mid_shift,
+                    const int* out_shift, int bits, int64_t len)
 {
     SrsStage in[kMaxLanesTuple], mid[kMaxLanesTuple], out[kMaxLanesTuple];
     for (int j = 0; j < n; ++j) {
@@ -328,6 +323,22 @@ dir_relu_qfirst_i32_generic(int32_t* const* dst, const int32_t* const* src,
         for (int j = 0; j < n; ++j) dst[j][i] = out[j].apply(y[j], lo, hi);
     }
 }
+
+void
+add_aligned_i32(int32_t* dst, const int32_t* a, const int32_t* b,
+                int64_t len, int sa, int sb, int bits)
+{
+    const ExactSrs ea = exact_srs(sa, bits + 2), eb = exact_srs(sb, bits + 2);
+    const int32_t hi = sat_hi(bits), lo = -hi - 1;
+    for (int64_t i = 0; i < len; ++i) {
+        const int32_t v = ea.apply(a[i]) + eb.apply(b[i]);
+        dst[i] = v < lo ? lo : (v > hi ? hi : v);
+    }
+}
+
+}  // namespace generic
+
+namespace {
 
 // Max over |a-b| is exact arithmetic (fabs and max introduce no
 // rounding), so the reduction order is free and the dispatch targets
@@ -628,8 +639,8 @@ pack_pairs_i16_avx2(int16_t* dst, const int32_t* a, const int32_t* b,
         _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + 2 * i),
                             _mm256_or_si256(va, vb));
     }
-    pack_pairs_i16_generic(dst + 2 * i, a + i, b != nullptr ? b + i : nullptr,
-                           len - i);
+    generic::pack_pairs_i16(dst + 2 * i, a + i,
+                            b != nullptr ? b + i : nullptr, len - i);
 }
 
 /** Lane mask of the first `count` (0..8) int32 lanes. */
@@ -768,7 +779,7 @@ requant_i32_avx2(int32_t* dst, const int32_t* src, int64_t len, int shift,
         _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i),
                             st.apply(v, lo, hi));
     }
-    requant_i32_generic(dst + i, src + i, len - i, shift, bits, relu_first);
+    generic::requant_i32(dst + i, src + i, len - i, shift, bits, relu_first);
 }
 
 template <int N>
@@ -814,7 +825,7 @@ dir_relu_otf_avx2(int32_t* const* dst, const int32_t* const* src,
             s[j] = src[j] + i;
             d[j] = dst[j] + i;
         }
-        dir_relu_otf_i32_generic(d, s, N, align, out_shift, bits, len - i);
+        generic::dir_relu_otf_i32(d, s, N, align, out_shift, bits, len - i);
     }
 }
 
@@ -863,8 +874,8 @@ dir_relu_qfirst_avx2(int32_t* const* dst, const int32_t* const* src,
             s[j] = src[j] + i;
             d[j] = dst[j] + i;
         }
-        dir_relu_qfirst_i32_generic(d, s, N, in_shift, mid_shift, out_shift,
-                                    bits, len - i);
+        generic::dir_relu_qfirst_i32(d, s, N, in_shift, mid_shift,
+                                     out_shift, bits, len - i);
     }
 }
 
@@ -914,7 +925,7 @@ add_aligned_i32_avx2(int32_t* dst, const int32_t* a, const int32_t* b,
         _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i),
                             _mm256_min_epi32(_mm256_max_epi32(v, lo), hi));
     }
-    add_aligned_i32_generic(dst + i, a + i, b + i, len - i, sa, sb, bits);
+    generic::add_aligned_i32(dst + i, a + i, b + i, len - i, sa, sb, bits);
 }
 
 /** Tuple width -> template instance (n is a power of two <= 16). */
@@ -1049,12 +1060,12 @@ struct Dispatch
     SumFn sum = sum_generic;
     SumFn asum = asum_generic;
     PlaneSumsFn plane_sums = plane_sums_generic;
-    PackPairsFn pack_pairs = pack_pairs_i16_generic;
-    ConvPairsFn conv_pairs = conv_pairs_i16_generic;
-    RequantFn requant = requant_i32_generic;
-    DirOtfFn dir_otf = dir_relu_otf_i32_generic;
-    DirQfirstFn dir_qfirst = dir_relu_qfirst_i32_generic;
-    AddAlignedFn add_aligned = add_aligned_i32_generic;
+    PackPairsFn pack_pairs = generic::pack_pairs_i16;
+    ConvPairsFn conv_pairs = generic::conv_pairs_i16;
+    RequantFn requant = generic::requant_i32;
+    DirOtfFn dir_otf = generic::dir_relu_otf_i32;
+    DirQfirstFn dir_qfirst = generic::dir_relu_qfirst_i32;
+    AddAlignedFn add_aligned = generic::add_aligned_i32;
     RowsFn axpy_rows = axpy_rows_generic;
     RowsFn matvec_rows = matvec_rows_generic;
     MaxAbsDiffFn max_abs_diff = max_abs_diff_f32_generic;

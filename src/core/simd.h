@@ -38,8 +38,9 @@
  * implementation additionally runs on the strict fp64 engine path.
  *
  * The integer kernels compute mod 2^32 (the generic build goes through
- * uint32, matching the wrapping AVX2 lanes), so every dispatch target
- * produces identical bits unconditionally, and results equal
+ * uint32, matching the wrapping AVX2 lanes; core/simd_generic.h
+ * declares it for the tests that compare the two), so every dispatch
+ * target produces identical bits unconditionally, and results equal
  * arbitrary-precision integer arithmetic whenever the true values fit
  * in int32 — the quantized executor proves that bound statically per
  * conv before picking this path.

@@ -810,39 +810,38 @@ QuantExecutor::ensure_batch(int count)
 }
 
 void
-QuantExecutor::begin(int count)
+QuantExecutor::exec(int count, const std::function<void(int, IAct&)>& load)
 {
     threads_ = util::resolve_threads(opt_.threads);
     if (static_cast<int>(wband_.size()) < threads_) {
         wband_.resize(static_cast<size_t>(threads_));
     }
     ensure_batch(count);
+    auto& entry = slots_[static_cast<size_t>(entry_slot_)];
+    for (int b = 0; b < count; ++b) load(b, entry[static_cast<size_t>(b)]);
+    for (auto& step : steps_) step(count);
 }
 
 void
 QuantExecutor::exec(const QAct* const* ins, int count)
 {
-    begin(count);
-    auto& entry = slots_[static_cast<size_t>(entry_slot_)];
-    for (int b = 0; b < count; ++b) {
+    const int64_t lo = -(INT64_C(1) << (qopt_.feature_bits - 1));
+    const int64_t hi = (INT64_C(1) << (qopt_.feature_bits - 1)) - 1;
+    exec(count, [&](int b, IAct& e) {
         const QAct& q = *ins[b];
         RINGCNN_CHECK(q.shape.size() == 3 &&
                           q.frac.size() == static_cast<size_t>(q.shape[0]),
                       "quantized executor input must be CHW with "
                       "per-channel fracs");
-        IAct& e = entry[static_cast<size_t>(b)];
         e.reset(q.shape);
         e.frac = q.frac;
-        const int64_t lo = -(INT64_C(1) << (qopt_.feature_bits - 1));
-        const int64_t hi = (INT64_C(1) << (qopt_.feature_bits - 1)) - 1;
         for (size_t j = 0; j < q.v.size(); ++j) {
             RINGCNN_CHECK(q.v[j] >= lo && q.v[j] <= hi,
                           "quantized executor input exceeds the feature "
                           "bit width the plan was proven safe for");
             e.v[j] = static_cast<int32_t>(q.v[j]);
         }
-    }
-    for (auto& step : steps_) step(count);
+    });
 }
 
 QAct
@@ -872,8 +871,10 @@ QuantExecutor::run(const std::vector<QAct>& ins)
 Tensor
 QuantExecutor::forward(const Tensor& x)
 {
-    return QuantizedModel::dequantize(
-        run(QuantizedModel::quantize_input(x, input_fmt_)));
+    const Tensor* p = &x;
+    Tensor y;
+    forward_into(&p, &y, 1);
+    return y;
 }
 
 std::vector<Tensor>
@@ -889,38 +890,23 @@ QuantExecutor::forward(const std::vector<Tensor>& xs)
 void
 QuantExecutor::forward_into(const Tensor* const* xs, Tensor* outs, int count)
 {
-    // Quantizes straight into the entry slot and dequantizes straight
-    // out of the output slot: the same QFormat rounding and the same
-    // double scaling as quantize_input / dequantize, without the int64
-    // QAct round trip. The input format saturates to feature_bits, the
-    // width the plan was proven for.
-    begin(count);
-    auto& entry = slots_[static_cast<size_t>(entry_slot_)];
-    for (int b = 0; b < count; ++b) {
+    // QuantizedModel::quantize_input / dequantize, straight into the
+    // entry slot and out of the output slot. The input format saturates
+    // to feature_bits, the width the plan was proven for.
+    exec(count, [&](int b, IAct& e) {
         const Tensor& x = *xs[b];
         RINGCNN_CHECK(x.shape().size() == 3,
                       "quantized executor input must be CHW");
-        IAct& e = entry[static_cast<size_t>(b)];
         e.reset(x.shape());
         e.frac.assign(static_cast<size_t>(x.dim(0)), input_fmt_.frac);
         input_fmt_.quantize_row(x.data(), x.numel(), e.v.data());
-    }
-    for (auto& step : steps_) step(count);
+    });
     for (int b = 0; b < count; ++b) {
         const IAct& o = slots_[static_cast<size_t>(out_slot_)]
                               [static_cast<size_t>(b)];
-        Tensor& y = outs[b];
-        y = Tensor(o.shape);
-        const int64_t plane = o.plane();
-        for (int c = 0; c < o.shape[0]; ++c) {
-            const double scale =
-                std::ldexp(1.0, -o.frac[static_cast<size_t>(c)]);
-            const int32_t* src = o.ch(c);
-            float* dst = y.data() + c * plane;
-            for (int64_t p = 0; p < plane; ++p) {
-                dst[p] = static_cast<float>(src[p] * scale);
-            }
-        }
+        outs[b] = Tensor(o.shape);
+        QuantizedModel::dequantize(o.shape, o.v.data(), o.frac,
+                                   outs[b].data());
     }
 }
 

@@ -99,13 +99,16 @@ class QuantExecutor
     std::vector<QAct> run(const std::vector<QAct>& ins);
 
     /** End-to-end float forward: quantize, integer graph, dequantize.
-     *  Bit-identical (hence float-identical) to the scalar walk. */
+     *  Bit-identical (hence float-identical) to the scalar walk. Both
+     *  overloads run through forward_into. */
     Tensor forward(const Tensor& x);
     std::vector<Tensor> forward(const std::vector<Tensor>& xs);
     /**
      * Batch-into-existing-buffers float forward: quantizes `count`
-     * images, runs the integer graph once, dequantizes into outs[b].
-     * The serving layer's int8 mode fulfills response futures through
+     * images straight into the entry slot (QFormat::quantize_row, as
+     * QuantizedModel::quantize_input), runs the integer graph once,
+     * dequantizes into outs[b] (QuantizedModel::dequantize). The
+     * serving layer's int8 mode fulfills response futures through
      * this; bit-identical to per-image forward().
      */
     void forward_into(const Tensor* const* xs, Tensor* outs, int count);
@@ -175,8 +178,10 @@ class QuantExecutor
 
     int band_rows(int h, int groups_total) const;
     void ensure_batch(int count);
-    /** Per-call setup: thread count, worker bands, batch capacity. */
-    void begin(int count);
+    /** One run: per-call setup (threads, worker bands, batch
+     *  capacity), load(b, entry image b) for every image, the steps. */
+    void exec(int count, const std::function<void(int, IAct&)>& load);
+    /** exec over integer inputs, range-checked against feature_bits. */
     void exec(const QAct* const* ins, int count);
 
     QuantExecOptions opt_;

@@ -820,15 +820,7 @@ Tensor
 QuantizedModel::dequantize(const QAct& out)
 {
     Tensor res(out.shape);
-    const int h = out.shape[1], w = out.shape[2];
-    for (int c = 0; c < out.channels(); ++c) {
-        const double scale = std::ldexp(1.0, -out.frac[static_cast<size_t>(c)]);
-        for (int y = 0; y < h; ++y) {
-            for (int xx = 0; xx < w; ++xx) {
-                res.at(c, y, xx) = static_cast<float>(out.at(c, y, xx) * scale);
-            }
-        }
-    }
+    dequantize(out.shape, out.v.data(), out.frac, res.data());
     return res;
 }
 

@@ -260,6 +260,24 @@ class QuantizedModel
 
     /** Dequantizes an output activation into a float image. */
     static Tensor dequantize(const QAct& out);
+    /** The same dequantization over raw CHW values (int64 QAct or the
+     *  executor's int32 arena) into `out`, shape_numel(shape) floats:
+     *  out = float(v * 2^-frac[c]), scaled in double. */
+    template <typename T>
+    static void dequantize(const Shape& shape, const T* v,
+                           const std::vector<int>& frac, float* out)
+    {
+        const int64_t plane = static_cast<int64_t>(shape[1]) * shape[2];
+        for (int c = 0; c < shape[0]; ++c) {
+            const double scale =
+                std::ldexp(1.0, -frac[static_cast<size_t>(c)]);
+            const T* src = v + c * plane;
+            float* dst = out + c * plane;
+            for (int64_t p = 0; p < plane; ++p) {
+                dst[p] = static_cast<float>(src[p] * scale);
+            }
+        }
+    }
 
   private:
     QuantExecutor& executor() const;

@@ -13,6 +13,7 @@
 #include "core/ring_conv.h"
 #include "core/ring_conv_engine.h"
 #include "core/simd.h"
+#include "core/simd_generic.h"
 #include "data/tasks.h"
 #include "models/backbones.h"
 #include "nn/trainer.h"
@@ -21,6 +22,21 @@
 
 namespace ringcnn::quant {
 namespace {
+
+/** Packs every channel pair of the int32 CHW planes `x` and binds the
+ *  tap table: one image ready for QuantConvKernel::conv_rows. */
+QuantPackedInput
+pack_image(const QuantConvKernel& kern, const int32_t* x, int h, int w,
+           std::vector<int16_t>* xp, std::vector<simd::PairTap>* tp)
+{
+    xp->assign(static_cast<size_t>(kern.packed_elems(h, w)), 0);
+    tp->assign(static_cast<size_t>(kern.pair_tap_count()), {});
+    for (int p = 0; p < (kern.ci() + 1) / 2; ++p) {
+        kern.pack_pair(x, h, w, p, xp->data());
+    }
+    kern.bind_taps(h, w, tp->data());
+    return {xp->data(), tp->data(), h, w};
+}
 
 TEST(QFormat, ForAbsMaxFits)
 {
@@ -187,11 +203,9 @@ TEST(SimdPairConv, DispatchedKernelMatchesInt64ReferenceModulo2e32)
         for (size_t i = 0; i < x.size(); ++i) {
             x[i] = i % 11 == 0 ? -32768 : (i % 13 == 0 ? 32767 : xdist(rng));
         }
-        std::vector<int16_t> xp(static_cast<size_t>(kern.packed_elems(h, w)));
-        std::vector<simd::PairTap> tp(
-            static_cast<size_t>(kern.pair_tap_count()));
-        kern.pack_input(x.data(), h, w, xp.data(), tp.data());
-        const QuantPackedInput px{xp.data(), tp.data(), h, w};
+        std::vector<int16_t> xp;
+        std::vector<simd::PairTap> tp;
+        const QuantPackedInput px = pack_image(kern, x.data(), h, w, &xp, &tp);
         for (const int band : {1, 2, 3, 4, 5, 7}) {
             for (int oc = 0; oc < co; ++oc) {
                 for (int y0 = 0; y0 < h; y0 += band) {
@@ -242,6 +256,176 @@ TEST(SimdPairConv, DispatchedKernelMatchesInt64ReferenceModulo2e32)
     }
 }
 
+/** n int32 values over the full range, with the rims and the
+ *  rounding-sensitive small values mixed in. */
+std::vector<int32_t>
+rim_values(size_t n, std::mt19937& rng)
+{
+    static const int32_t kRim[] = {INT32_MIN, INT32_MAX, 0, -1, 1, 2, -2};
+    std::uniform_int_distribution<int32_t> any(INT32_MIN, INT32_MAX);
+    std::uniform_int_distribution<int32_t> small(-300, 300);
+    std::vector<int32_t> v(n);
+    for (size_t i = 0; i < n; ++i) {
+        v[i] = i % 5 == 0 ? kRim[(i / 5) % 7]
+                          : (i % 3 == 0 ? small(rng) : any(rng));
+    }
+    return v;
+}
+
+// The generic int8 kernels run only where AVX2 is missing and on the
+// AVX2 kernels' sub-8-pixel tails; comparing them with the dispatched
+// kernels over whole rows checks their identical-bits contract on any
+// host (on a host without AVX2 both sides are the generic build).
+
+TEST(SimdGenericKernels, PackingAndPairConvMatchDispatched)
+{
+    std::mt19937 rng(91);
+    std::uniform_int_distribution<int32_t> i16(-32768, 32767);
+    std::uniform_int_distribution<int32_t> w8(-128, 127);
+    const int max_rows = 7;
+    for (const int w : {1, 7, 8, 9, 31, 32, 33, 40}) {
+        std::vector<int32_t> a(static_cast<size_t>(w));
+        std::vector<int32_t> b(static_cast<size_t>(w));
+        for (int i = 0; i < w; ++i) {
+            a[static_cast<size_t>(i)] = i % 4 == 0 ? -32768 : i16(rng);
+            b[static_cast<size_t>(i)] = i % 4 == 1 ? 32767 : i16(rng);
+        }
+        for (const bool odd_tail : {false, true}) {
+            std::vector<int16_t> got(2 * static_cast<size_t>(w), 7);
+            std::vector<int16_t> want(2 * static_cast<size_t>(w), 9);
+            const int32_t* pb = odd_tail ? nullptr : b.data();
+            simd::pack_pairs_i16(got.data(), a.data(), pb, w);
+            simd::generic::pack_pairs_i16(want.data(), a.data(), pb, w);
+            EXPECT_EQ(got, want) << "w=" << w << " odd_tail=" << odd_tail;
+        }
+
+        // A 3x3 window over a padded row pitch, 9 taps with full-range,
+        // half-zero and -128/127 weight pairs, and a wrapping bias.
+        const int64_t pitch = 2 * (static_cast<int64_t>(w) + 2);
+        std::vector<int16_t> src(
+            static_cast<size_t>((max_rows + 2) * pitch +
+                                simd::kPairConvSlack));
+        for (size_t i = 0; i < src.size(); ++i) {
+            src[i] = static_cast<int16_t>(
+                i % 9 == 0 ? -32768 : (i % 11 == 0 ? 32767 : i16(rng)));
+        }
+        std::vector<simd::PairTap> taps;
+        for (int ky = 0; ky < 3; ++ky) {
+            for (int kx = 0; kx < 3; ++kx) {
+                const int t = ky * 3 + kx;
+                const int32_t lo = t == 0 ? -128 : (t == 4 ? 0 : w8(rng));
+                const int32_t hi = t == 0 ? 127 : (t == 7 ? 0 : w8(rng));
+                taps.push_back({static_cast<int32_t>(ky * pitch + 2 * kx),
+                                simd::pair_weight(lo, hi)});
+            }
+        }
+        for (int rows = 1; rows <= max_rows; ++rows) {
+            for (const int32_t bias : {INT32_MAX - 5, -77}) {
+                const size_t n = static_cast<size_t>(rows) * w;
+                std::vector<int32_t> got(n, 1), want(n, 2);
+                simd::conv_pairs_i16(got.data(), w, src.data(), pitch,
+                                     taps.data(),
+                                     static_cast<int>(taps.size()), bias,
+                                     rows, w);
+                simd::generic::conv_pairs_i16(
+                    want.data(), w, src.data(), pitch, taps.data(),
+                    static_cast<int>(taps.size()), bias, rows, w);
+                EXPECT_EQ(got, want)
+                    << "w=" << w << " rows=" << rows << " bias=" << bias;
+            }
+        }
+    }
+}
+
+TEST(SimdGenericKernels, EpiloguesAndAlignedAddMatchDispatched)
+{
+    // Full-range int32 inputs: both builds wrap and saturate the same
+    // way, so they agree bit for bit even outside the bound the
+    // executor proves before compiling onto the epilogues.
+    std::mt19937 rng(92);
+    std::uniform_int_distribution<int> any_shift(-31, 31);
+    std::uniform_int_distribution<int> align_shift(0, 31);
+    for (const int len : {1, 7, 8, 9, 31, 32, 33, 40}) {
+        const size_t n = static_cast<size_t>(len);
+        const std::vector<int32_t> a = rim_values(n, rng);
+        const std::vector<int32_t> b = rim_values(n, rng);
+        std::vector<int32_t> got(n), want(n);
+
+        for (const int shift : {-31, -9, -1, 0, 1, 5, 17, 31}) {
+            for (const int bits : {2, 8, 16, 31}) {
+                for (const bool relu_first : {false, true}) {
+                    simd::requant_i32(got.data(), a.data(), len, shift, bits,
+                                      relu_first);
+                    simd::generic::requant_i32(want.data(), a.data(), len,
+                                               shift, bits, relu_first);
+                    EXPECT_EQ(got, want)
+                        << "requant len=" << len << " shift=" << shift
+                        << " bits=" << bits << " relu_first=" << relu_first;
+                }
+            }
+        }
+
+        for (const int sa : {-31, -3, 0, 2, 31, 40}) {
+            for (const int sb : {-20, 0, 1, 33}) {
+                for (const int bits : {2, 8, 29}) {
+                    simd::add_aligned_i32(got.data(), a.data(), b.data(), len,
+                                          sa, sb, bits);
+                    simd::generic::add_aligned_i32(want.data(), a.data(),
+                                                   b.data(), len, sa, sb,
+                                                   bits);
+                    EXPECT_EQ(got, want) << "add len=" << len << " sa=" << sa
+                                         << " sb=" << sb << " bits=" << bits;
+                }
+            }
+        }
+
+        for (const int tn : {1, 2, 4, 8, 16}) {
+            std::vector<std::vector<int32_t>> in, out_got, out_want;
+            std::vector<const int32_t*> srcs;
+            std::vector<int32_t*> dg, dw;
+            for (int j = 0; j < tn; ++j) {
+                in.push_back(rim_values(n, rng));
+                out_got.emplace_back(n);
+                out_want.emplace_back(n);
+            }
+            for (int j = 0; j < tn; ++j) {
+                srcs.push_back(in[static_cast<size_t>(j)].data());
+                dg.push_back(out_got[static_cast<size_t>(j)].data());
+                dw.push_back(out_want[static_cast<size_t>(j)].data());
+            }
+            for (const int bits : {8, 16, 31}) {
+                std::vector<int> s1(static_cast<size_t>(tn));
+                std::vector<int> s2(static_cast<size_t>(tn));
+                std::vector<int> s3(static_cast<size_t>(tn));
+                for (int j = 0; j < tn; ++j) {
+                    s1[static_cast<size_t>(j)] = align_shift(rng);
+                    s2[static_cast<size_t>(j)] = any_shift(rng);
+                    s3[static_cast<size_t>(j)] = any_shift(rng);
+                }
+                simd::dir_relu_otf_i32(dg.data(), srcs.data(), tn, s1.data(),
+                                       s2.data(), bits, len);
+                simd::generic::dir_relu_otf_i32(dw.data(), srcs.data(), tn,
+                                                s1.data(), s2.data(), bits,
+                                                len);
+                EXPECT_EQ(out_got, out_want)
+                    << "otf len=" << len << " n=" << tn << " bits=" << bits;
+
+                // The quantize-first pipeline takes signed in shifts.
+                s1[0] = -s1[0];
+                simd::dir_relu_qfirst_i32(dg.data(), srcs.data(), tn,
+                                          s1.data(), s2.data(), s3.data(),
+                                          bits, len);
+                simd::generic::dir_relu_qfirst_i32(
+                    dw.data(), srcs.data(), tn, s1.data(), s2.data(),
+                    s3.data(), bits, len);
+                EXPECT_EQ(out_got, out_want)
+                    << "qfirst len=" << len << " n=" << tn
+                    << " bits=" << bits;
+            }
+        }
+    }
+}
+
 TEST(QuantConvKernel, AccumulatorsAtInt32ExtremesMatchOracle)
 {
     // One 1x1 conv whose accumulator touches INT32_MAX exactly and one
@@ -275,9 +459,9 @@ TEST(QuantConvKernel, AccumulatorsAtInt32ExtremesMatchOracle)
     const QAct want = oracle.forward(in);
 
     std::vector<int32_t> x32(in.v.begin(), in.v.end());
-    std::vector<int16_t> xp(static_cast<size_t>(kern.packed_elems(h, w)));
-    std::vector<simd::PairTap> tp(static_cast<size_t>(kern.pair_tap_count()));
-    kern.pack_input(x32.data(), h, w, xp.data(), tp.data());
+    std::vector<int16_t> xp;
+    std::vector<simd::PairTap> tp;
+    pack_image(kern, x32.data(), h, w, &xp, &tp);
     // Every row banding must agree with the whole-plane oracle.
     for (const int band : {1, 2, 3}) {
         for (int oc = 0; oc < co; ++oc) {
