@@ -20,6 +20,9 @@
  * is recorded run over run. `--smoke` shrinks sizes/reps for CI.
  *
  * Usage: perf_model [--smoke] [--out PATH]
+ * An unknown argument (or --out without a path) prints the usage and
+ * exits with status 2 before any timing starts; --help prints it and
+ * exits 0.
  */
 #include <algorithm>
 #include <atomic>
@@ -231,6 +234,16 @@ closed_loop(int clients, int per_client, Fn&& request)
     return run;
 }
 
+void
+print_usage(std::FILE* f)
+{
+    std::fprintf(f,
+                 "usage: perf_model [--smoke] [--out PATH]\n"
+                 "  --smoke     shrink sizes and repetitions (CI)\n"
+                 "  --out PATH  perf record path (default "
+                 "BENCH_model.json)\n");
+}
+
 }  // namespace
 
 int
@@ -239,9 +252,22 @@ main(int argc, char** argv)
     bool smoke = false;
     std::string out_path = "BENCH_model.json";
     for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-        if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
+        if (std::strcmp(argv[i], "--help") == 0) {
+            print_usage(stdout);
+            return 0;
+        }
+        if (std::strcmp(argv[i], "--smoke") == 0) {
+            smoke = true;
+        } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
             out_path = argv[++i];
+        } else {
+            std::fprintf(stderr, "perf_model: %s '%s'\n",
+                         std::strcmp(argv[i], "--out") == 0
+                             ? "missing value for"
+                             : "unknown argument",
+                         argv[i]);
+            print_usage(stderr);
+            return 2;
         }
     }
 
@@ -304,7 +330,7 @@ main(int argc, char** argv)
     const quant::QAct qin = qm.quantize_input(x);
     const quant::QAct q_ref = qm.root()->forward(qin);  // scalar oracle
 
-    quant::QuantExecOptions qx_st;
+    plan::ExecOptions qx_st;
     qx_st.threads = 1;
     quant::QuantExecutor qex_st(qm, qx_st);
     const quant::QAct q_eng = qex_st.run(qin);  // also warms the plan
@@ -317,7 +343,7 @@ main(int argc, char** argv)
         time_ms(scalar_reps, [&]() { qm.root()->forward(qin); });
     const double q_eng_st_ms = time_ms(reps, [&]() { qex_st.run(qin); });
 
-    quant::QuantExecOptions qx_mt;
+    plan::ExecOptions qx_mt;
     qx_mt.threads = 8;
     quant::QuantExecutor qex_mt(qm, qx_mt);
     qex_mt.run(qin);  // warm
@@ -867,7 +893,7 @@ main(int argc, char** argv)
 
             quant::QuantizedModel sqm(sm, {x});
             const quant::QAct sqin = sqm.quantize_input(x);
-            quant::QuantExecOptions sqo;
+            plan::ExecOptions sqo;
             sqo.threads = 1;
             quant::QuantExecutor sqex(sqm, sqo);
             const quant::QAct sq_eng = sqex.run(sqin);
@@ -943,9 +969,9 @@ main(int argc, char** argv)
 
         quant::QuantizedModel iqm(im, {x});
         const quant::QAct iqin = iqm.quantize_input(x);
-        quant::QuantExecOptions iqo;
+        plan::ExecOptions iqo;
         iqo.threads = 1;
-        quant::QuantExecOptions iqv = iqo;
+        plan::ExecOptions iqv = iqo;
         iqv.verify_checksums = true;
         quant::QuantExecutor iqplain(iqm, iqo);
         quant::QuantExecutor iqverified(iqm, iqv);

@@ -17,10 +17,6 @@ namespace ringcnn::nn {
 
 namespace {
 
-// The permutation/pad/crop arena kernels (pixel_*_into, channel_pad_into,
-// crop_channels_into) live in tensor/image_ops.cc so their index math is
-// shared with the allocating reference functions.
-
 void
 relu_into(const Tensor& x, Tensor& out)
 {
@@ -46,6 +42,26 @@ L*
 layer_of(const plan::OpIR& op)
 {
     return static_cast<L*>(const_cast<void*>(op.node));
+}
+
+/** The shared compile pipeline (src/plan): linearize the layer tree,
+ *  attach conv epilogues per the executor's fusion policy, assign
+ *  refcounted arena slots. */
+plan::GraphPlan
+compile_plan(Model& model, const Shape& in_shape, const ExecutorOptions& opt)
+{
+    RINGCNN_CHECK(in_shape.size() == 3, "executor input must be a CHW shape");
+    // Fault site: plan compile hitting an allocation failure.
+    if (util::fault_check("plan.alloc")) throw std::bad_alloc();
+    plan::GraphPlan p = plan::linearize(model.root(), in_shape);
+    plan::FusionOptions fo;
+    fo.fuse_relu = !opt.strict_fp64;
+    fo.fuse_dir_relu = fo.fuse_relu;
+    fo.fuse_requant = false;  // no requant ops in a float graph
+    fo.require_tuple_match = true;
+    plan::fuse_epilogues(p, fo);
+    plan::plan_arena(p);
+    return p;
 }
 
 }  // namespace
@@ -76,30 +92,10 @@ ModelExecutor::~ModelExecutor() = default;
 
 ModelExecutor::ModelExecutor(Model& model, Shape in_shape,
                              ExecutorOptions opt)
-    : opt_(opt), in_shape_(std::move(in_shape))
+    : opt_(opt), in_shape_(std::move(in_shape)),
+      plan_(compile_plan(model, in_shape_, opt_)), rt_(plan_, opt_.threads)
 {
-    RINGCNN_CHECK(in_shape_.size() == 3,
-                  "executor input must be a CHW shape");
-    // Fault site: plan compile hitting an allocation failure.
-    if (util::fault_check("plan.alloc")) throw std::bad_alloc();
     macs_ = model.macs(in_shape_);
-
-    // The shared compile pipeline (src/plan): linearize the layer tree,
-    // attach conv epilogues per the executor's fusion policy, assign
-    // refcounted arena slots. Lowering below maps each IR op onto the
-    // fp32 kernels.
-    plan_ = plan::linearize(model.root(), in_shape_);
-    plan::FusionOptions fo;
-    fo.fuse_relu = opt_.fuse_epilogues && !opt_.strict_fp64;
-    fo.fuse_dir_relu = fo.fuse_relu;
-    fo.fuse_requant = false;  // no requant ops in a float graph
-    fo.require_tuple_match = true;
-    plan::fuse_epilogues(plan_, fo);
-    plan::plan_arena(plan_);
-
-    slots_.resize(static_cast<size_t>(plan_.num_slots));
-    entry_slot_ = plan_.entry_slot;
-    out_slot_ = plan_.out_slot;
     out_shape_ = plan_.out_shape;
     lower();
 }
@@ -141,16 +137,18 @@ ModelExecutor::lower_ringconv(const plan::OpIR& op)
 
     const int in = op.in0_slot;
     const int out = op.out_slot;
-    steps_.push_back([this, rec_idx, in, out](int batch) {
+    rt_.add([this, rec_idx, in, out](int batch) {
         EngineRec& r = *engines_[rec_idx];
+        const std::vector<Tensor>& xs = rt_.slot(in);
+        Tensor* ys = rt_.slot(out).data();
+        if (r.in_ptrs.size() < static_cast<size_t>(batch)) {
+            r.in_ptrs.resize(static_cast<size_t>(batch));
+        }
         for (int b = 0; b < batch; ++b) {
-            r.in_ptrs[static_cast<size_t>(b)] =
-                &slots_[static_cast<size_t>(in)][static_cast<size_t>(b)];
+            r.in_ptrs[static_cast<size_t>(b)] = &xs[static_cast<size_t>(b)];
         }
         if (!opt_.verify_checksums || r.checksum == nullptr) {
-            r.engine->run_into(r.in_ptrs.data(),
-                               slots_[static_cast<size_t>(out)].data(),
-                               batch, &r.scratch);
+            r.engine->run_into(r.in_ptrs.data(), ys, batch, &r.scratch);
             return;
         }
         // ABFT: shifted-window input sums first (the input slot may be
@@ -167,12 +165,10 @@ ModelExecutor::lower_ringconv(const plan::OpIR& op)
                 r.in_sums.data() + static_cast<size_t>(b) * taps,
                 r.in_abs.data() + static_cast<size_t>(b) * taps);
         }
-        r.engine->run_into(r.in_ptrs.data(),
-                           slots_[static_cast<size_t>(out)].data(), batch,
-                           &r.scratch, &r.out_sums);
+        r.engine->run_into(r.in_ptrs.data(), ys, batch, &r.scratch,
+                           &r.out_sums);
         for (int b = 0; b < batch; ++b) {
-            const Tensor& y =
-                slots_[static_cast<size_t>(out)][static_cast<size_t>(b)];
+            const Tensor& y = ys[b];
             plan::abft_check_f32(
                 cs, r.in_sums.data() + static_cast<size_t>(b) * taps,
                 r.in_abs.data() + static_cast<size_t>(b) * taps,
@@ -184,27 +180,6 @@ ModelExecutor::lower_ringconv(const plan::OpIR& op)
 }
 
 void
-ModelExecutor::lower_conv2d(const plan::OpIR& op)
-{
-    auto* conv = layer_of<Conv2d>(op);
-    const bool fuse_relu = op.epilogue == plan::Epilogue::kRelu;
-    const int in = op.in0_slot;
-    const int out = op.out_slot;
-    const Shape out_shape = op.out_shape;
-    steps_.push_back([this, conv, in, out, out_shape, fuse_relu](int batch) {
-        for (int b = 0; b < batch; ++b) {
-            Tensor& dst =
-                slots_[static_cast<size_t>(out)][static_cast<size_t>(b)];
-            dst.reset(out_shape);
-            conv2d_forward(
-                slots_[static_cast<size_t>(in)][static_cast<size_t>(b)],
-                conv->weights(), conv->bias(), dst, fuse_relu);
-        }
-    });
-    if (fuse_relu) ++fused_real_convs_;
-}
-
-void
 ModelExecutor::lower()
 {
     using plan::OpKind;
@@ -212,169 +187,108 @@ ModelExecutor::lower()
         if (op.fused) continue;  // absorbed into its conv's epilogue
         const int in = op.in0_slot;
         const int out = op.out_slot;
+        const int r = op.arg;
         switch (op.kind) {
         case OpKind::kRingConv:
             lower_ringconv(op);
             break;
-        case OpKind::kDenseConv:
-            lower_conv2d(op);
-            break;
-        case OpKind::kResidualAdd:
-        case OpKind::kBranchAdd: {
-            const int addend = op.in1_slot;
-            if (out == in) {
-                // The accumulate side dies here: add into it in place.
-                steps_.push_back([this, out, addend](int batch) {
-                    for (int b = 0; b < batch; ++b) {
-                        slots_[static_cast<size_t>(out)]
-                              [static_cast<size_t>(b)] +=
-                            slots_[static_cast<size_t>(addend)]
-                                  [static_cast<size_t>(b)];
-                    }
-                });
-            } else {
-                // Copy-then-add is bitwise the in-place sum (IEEE adds
-                // of the same operands); taken only on degenerate
-                // graphs whose accumulate side stays live.
-                steps_.push_back([this, in, out, addend](int batch) {
-                    for (int b = 0; b < batch; ++b) {
-                        Tensor& dst = slots_[static_cast<size_t>(out)]
-                                            [static_cast<size_t>(b)];
-                        dst = slots_[static_cast<size_t>(in)]
-                                    [static_cast<size_t>(b)];
-                        dst += slots_[static_cast<size_t>(addend)]
-                                     [static_cast<size_t>(b)];
-                    }
-                });
-            }
+        case OpKind::kDenseConv: {
+            // A fused ReLU rectifies each output channel while it is hot.
+            auto* conv = layer_of<Conv2d>(op);
+            const bool relu = op.epilogue == plan::Epilogue::kRelu;
+            const Shape os = op.out_shape;
+            rt_.per_image(in, out,
+                          [conv, os, relu](const Tensor& x, Tensor& y) {
+                              y.reset(os);
+                              conv2d_forward(x, conv->weights(), conv->bias(),
+                                             y, relu);
+                          });
+            if (relu) ++fused_real_convs_;
             break;
         }
+        case OpKind::kResidualAdd:
+        case OpKind::kBranchAdd:
+            // In place when the accumulate side dies here; otherwise
+            // copy-then-add, bitwise the in-place sum (IEEE adds of the
+            // same operands), taken only on degenerate graphs whose
+            // accumulate side stays live.
+            rt_.per_image(in, op.in1_slot, out,
+                          [](const Tensor& a, const Tensor& b, Tensor& y) {
+                              if (&y != &a) y = a;
+                              y += b;
+                          });
+            break;
         case OpKind::kRelu:
-            steps_.push_back([this, in, out](int batch) {
-                for (int b = 0; b < batch; ++b) {
-                    relu_into(
-                        slots_[static_cast<size_t>(in)]
-                              [static_cast<size_t>(b)],
-                        slots_[static_cast<size_t>(out)]
-                              [static_cast<size_t>(b)]);
-                }
-            });
+            rt_.per_image(in, out, relu_into);
             break;
         case OpKind::kDirRelu: {
             auto* dr = layer_of<DirectionalReLU>(op);
-            steps_.push_back([this, dr, in, out](int batch) {
-                for (int b = 0; b < batch; ++b) {
-                    // Safe in place (rows are consumed before rewrite).
-                    directional_relu_forward(
-                        slots_[static_cast<size_t>(in)]
-                              [static_cast<size_t>(b)],
-                        dr->u(), dr->v(),
-                        slots_[static_cast<size_t>(out)]
-                              [static_cast<size_t>(b)],
-                        nullptr);
-                }
+            // Safe in place (rows are consumed before rewrite).
+            rt_.per_image(in, out, [dr](const Tensor& x, Tensor& y) {
+                directional_relu_forward(x, dr->u(), dr->v(), y, nullptr);
             });
             break;
         }
-        case OpKind::kPixelShuffle: {
-            const int r = op.arg;
-            steps_.push_back([this, in, out, r](int batch) {
-                for (int b = 0; b < batch; ++b) {
-                    pixel_shuffle_into(
-                        slots_[static_cast<size_t>(in)]
-                              [static_cast<size_t>(b)],
-                        r,
-                        slots_[static_cast<size_t>(out)]
-                              [static_cast<size_t>(b)]);
-                }
-            });
+        case OpKind::kPixelShuffle:
+            rt_.per_channel(
+                in, out,
+                [r](const Tensor& x, Tensor& y) {
+                    y.reset({x.dim(0) / (r * r), x.dim(1) * r, x.dim(2) * r});
+                    return y.dim(0);
+                },
+                [r](const Tensor& x, Tensor& y, int c) {
+                    pixel_shuffle_channel(x.data(), x.dim(1), x.dim(2), r, c,
+                                          y.data());
+                });
             break;
-        }
-        case OpKind::kPixelUnshuffle: {
-            const int r = op.arg;
-            steps_.push_back([this, in, out, r](int batch) {
-                for (int b = 0; b < batch; ++b) {
-                    pixel_unshuffle_into(
-                        slots_[static_cast<size_t>(in)]
-                              [static_cast<size_t>(b)],
-                        r,
-                        slots_[static_cast<size_t>(out)]
-                              [static_cast<size_t>(b)]);
-                }
-            });
+        case OpKind::kPixelUnshuffle:
+            rt_.per_channel(
+                in, out,
+                [r](const Tensor& x, Tensor& y) {
+                    y.reset({x.dim(0) * r * r, x.dim(1) / r, x.dim(2) / r});
+                    return x.dim(0);
+                },
+                [r](const Tensor& x, Tensor& y, int c) {
+                    pixel_unshuffle_channel(x.data(), y.dim(1), y.dim(2), r,
+                                            c, y.data());
+                });
             break;
-        }
-        case OpKind::kChannelPad: {
-            const int want = op.arg;
-            steps_.push_back([this, in, out, want](int batch) {
-                for (int b = 0; b < batch; ++b) {
-                    channel_pad_into(
-                        slots_[static_cast<size_t>(in)]
-                              [static_cast<size_t>(b)],
-                        want,
-                        slots_[static_cast<size_t>(out)]
-                              [static_cast<size_t>(b)]);
-                }
-            });
+        case OpKind::kChannelPad:
+        case OpKind::kCropChannels:
+            // op.arg is the output channel count of either.
+            rt_.per_channel(
+                in, out,
+                [r](const Tensor& x, Tensor& y) {
+                    y.reset({r, x.dim(1), x.dim(2)});
+                    return r;
+                },
+                [](const Tensor& x, Tensor& y, int c) {
+                    pad_crop_channel(x.data(), x.dim(0),
+                                     static_cast<int64_t>(x.dim(1)) * x.dim(2),
+                                     c, y.data());
+                });
             break;
-        }
-        case OpKind::kCropChannels: {
-            const int keep = op.arg;
-            steps_.push_back([this, in, out, keep](int batch) {
-                for (int b = 0; b < batch; ++b) {
-                    crop_channels_into(
-                        slots_[static_cast<size_t>(in)]
-                              [static_cast<size_t>(b)],
-                        keep,
-                        slots_[static_cast<size_t>(out)]
-                              [static_cast<size_t>(b)]);
-                }
-            });
-            break;
-        }
         case OpKind::kDepthwiseConv: {
             auto* dw = layer_of<DepthwiseConv2d>(op);
             const Shape os = op.out_shape;
-            steps_.push_back([this, dw, in, out, os](int batch) {
-                for (int b = 0; b < batch; ++b) {
-                    Tensor& dst = slots_[static_cast<size_t>(out)]
-                                        [static_cast<size_t>(b)];
-                    dst.reset(os);
-                    depthwise_conv2d_forward(
-                        slots_[static_cast<size_t>(in)]
-                              [static_cast<size_t>(b)],
-                        dw->weights(), dw->bias(), dst);
-                }
+            rt_.per_image(in, out, [dw, os](const Tensor& x, Tensor& y) {
+                y.reset(os);
+                depthwise_conv2d_forward(x, dw->weights(), dw->bias(), y);
             });
             break;
         }
-        case OpKind::kUpsample: {
-            const int r = op.arg;
-            steps_.push_back([this, in, out, r](int batch) {
-                for (int b = 0; b < batch; ++b) {
-                    upsample_bilinear_into(
-                        slots_[static_cast<size_t>(in)]
-                              [static_cast<size_t>(b)],
-                        r,
-                        slots_[static_cast<size_t>(out)]
-                              [static_cast<size_t>(b)]);
-                }
+        case OpKind::kUpsample:
+            rt_.per_image(in, out, [r](const Tensor& x, Tensor& y) {
+                upsample_bilinear_into(x, r, y);
             });
             break;
-        }
         default: {
             // Fallback for layers without a compiled kernel (future
             // additions): correct but allocating.
             auto* l = layer_of<Layer>(op);
             ++fallback_steps_;
-            steps_.push_back([this, l, in, out](int batch) {
-                for (int b = 0; b < batch; ++b) {
-                    slots_[static_cast<size_t>(out)]
-                          [static_cast<size_t>(b)] =
-                        l->forward(slots_[static_cast<size_t>(in)]
-                                         [static_cast<size_t>(b)],
-                                   false);
-                }
+            rt_.per_image(in, out, [l](const Tensor& x, Tensor& y) {
+                y = l->forward(x, false);
             });
             break;
         }
@@ -448,21 +362,6 @@ ModelExecutor::refresh()
 }
 
 void
-ModelExecutor::ensure_batch(int count)
-{
-    for (auto& slot : slots_) {
-        if (slot.size() < static_cast<size_t>(count)) {
-            slot.resize(static_cast<size_t>(count));
-        }
-    }
-    for (auto& rec : engines_) {
-        if (rec->in_ptrs.size() < static_cast<size_t>(count)) {
-            rec->in_ptrs.resize(static_cast<size_t>(count));
-        }
-    }
-}
-
-void
 ModelExecutor::exec(const Tensor* const* xs, int count)
 {
     for (int b = 0; b < count; ++b) {
@@ -474,22 +373,19 @@ ModelExecutor::exec(const Tensor* const* xs, int count)
                           xs[b]->shape_str());
     }
     refresh();
-    ensure_batch(count);
-    auto& entry = slots_[static_cast<size_t>(entry_slot_)];
-    for (int b = 0; b < count; ++b) {
-        entry[static_cast<size_t>(b)].reset(in_shape_);
-        std::memcpy(entry[static_cast<size_t>(b)].data(), xs[b]->data(),
+    rt_.run(count, [&](int b, Tensor& e) {
+        e.reset(in_shape_);
+        std::memcpy(e.data(), xs[b]->data(),
                     static_cast<size_t>(xs[b]->numel()) * sizeof(float));
-    }
-    // Fault site: NaN/Inf poison landing on an activation AFTER serve-
-    // side input validation (an in-flight corruption, not a bad input).
-    uint64_t fault_token;
-    if (util::fault_check("fp32.activation", &fault_token)) {
-        Tensor& e0 = entry[0];
-        util::fault_poison(e0.data(),
-                           static_cast<size_t>(e0.numel()), fault_token);
-    }
-    for (auto& step : steps_) step(count);
+        // Fault site: NaN/Inf poison landing on an activation AFTER
+        // serve-side input validation (an in-flight corruption, not a
+        // bad input).
+        uint64_t fault_token;
+        if (b == 0 && util::fault_check("fp32.activation", &fault_token)) {
+            util::fault_poison(e.data(), static_cast<size_t>(e.numel()),
+                               fault_token);
+        }
+    });
 }
 
 Tensor
@@ -503,7 +399,7 @@ ModelExecutor::run_view(const Tensor& x)
 {
     const Tensor* px = &x;
     exec(&px, 1);
-    return slots_[static_cast<size_t>(out_slot_)][0];
+    return rt_.out()[0];
 }
 
 std::vector<Tensor>
@@ -512,7 +408,7 @@ ModelExecutor::run(const std::vector<Tensor>& xs)
     std::vector<const Tensor*> ptrs(xs.size());
     for (size_t i = 0; i < xs.size(); ++i) ptrs[i] = &xs[i];
     exec(ptrs.data(), static_cast<int>(xs.size()));
-    const auto& out = slots_[static_cast<size_t>(out_slot_)];
+    const auto& out = rt_.out();
     return std::vector<Tensor>(out.begin(),
                                out.begin() + static_cast<int64_t>(xs.size()));
 }
@@ -521,7 +417,7 @@ void
 ModelExecutor::run_into(const Tensor* const* xs, Tensor* outs, int count)
 {
     exec(xs, count);
-    auto& slot = slots_[static_cast<size_t>(out_slot_)];
+    auto& slot = rt_.out();
     for (int b = 0; b < count; ++b) {
         std::swap(outs[b], slot[static_cast<size_t>(b)]);
     }

@@ -18,64 +18,44 @@
  *    Conv2d is likewise folded into the conv step (the n=1 real-algebra
  *    baselines rectify each output channel while it is hot);
  *  - all other supported layers (Conv2d, shuffles, pad/crop, residual
- *    and two-branch adds) become allocation-free steps over a slotted
- *    activation arena — a generalized ping-pong buffer set sized from
- *    out_shape() at compile time, with slots recycled by the arena
- *    planner's compile-time liveness. After the first run the steady
- *    state performs no heap allocations;
+ *    and two-branch adds) become allocation-free steps of the shared
+ *    plan::Runtime (plan/runtime.h: arena, batching, step loop — the
+ *    one the int8 executor runs on too); shuffles and pad/crop fan out
+ *    per (image, channel) on the pool;
  *  - unrecognized layers fall back to Layer::forward (correct, but
  *    allocating) so any model stays runnable.
  *
- * Batching: run() accepts whole image batches; engine steps schedule
- * every (image, tuple, band) task of the batch onto one worker set of
- * the persistent thread pool.
- *
- * Weight staleness: engines are refreshed from the layers' parameter
- * version counters (see ParamRef::version) at every run, so training
- * steps interleaved with executor inference stay correct.
+ * Engine steps schedule every (image, tuple, band) task of a batch
+ * onto one worker set of the persistent thread pool. Engines are
+ * refreshed from the layers' parameter version counters (see
+ * ParamRef::version) at every run, so training steps interleaved with
+ * executor inference stay correct.
  *
  * The executor holds pointers into the model's layers: the model must
  * outlive it and its topology must not change (parameter values may).
- * One executor serves one caller at a time — run()/run_view() share the
- * activation arena and per-engine scratch, so concurrent calls on the
- * same instance race; build one executor per thread instead (engine
- * steps still parallelize internally across the worker pool).
+ * One executor serves one caller at a time (see plan/runtime.h).
  */
 #ifndef RINGCNN_NN_EXECUTOR_H
 #define RINGCNN_NN_EXECUTOR_H
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
 #include "core/ring_conv_engine.h"
 #include "nn/model.h"
 #include "plan/graph_ir.h"
+#include "plan/runtime.h"
 
 namespace ringcnn::nn {
 
-/** Compilation knobs for ModelExecutor. */
-struct ExecutorOptions
+/** Compilation knobs for ModelExecutor: the shared execution knobs
+ *  plus the fp32-only strict mode. */
+struct ExecutorOptions : plan::ExecOptions
 {
-    /** Worker threads for engine steps; 0 = auto. */
-    int threads = 0;
     /** Build strict fp64 engines (bit-identical to the seed FRCONV
      *  path). Disables epilogue fusion. */
     bool strict_fp64 = false;
-    /** Fuse ReLU / DirectionalReLU into the preceding ring conv. */
-    bool fuse_epilogues = true;
-    /**
-     * ABFT verification: after every ring-conv pass, compare the
-     * output's interior ring-sum against the prediction from the
-     * input's ring-sum and the plan's weight checksum (tolerance-
-     * bounded; see plan::ConvChecksum). Also hardens weight refresh:
-     * NaN/Inf in an updated weight set and out-of-band weight changes
-     * (no version bump) surface as plan::IntegrityError. Outputs are
-     * bit-identical with verification on; the cost is one extra read
-     * pass over each conv's input and output.
-     */
-    bool verify_checksums = false;
 };
 
 class ModelExecutor
@@ -95,9 +75,9 @@ class ModelExecutor
     /** Real multiplications for one image (the complexity axis). */
     int64_t macs() const { return macs_; }
     /** Compiled step count (introspection for tests/benches). */
-    size_t step_count() const { return steps_.size(); }
+    size_t step_count() const { return rt_.step_count(); }
     /** Activation-arena slot count (introspection for tests/benches). */
-    int slot_count() const { return static_cast<int>(slots_.size()); }
+    int slot_count() const { return rt_.slot_count(); }
     /** Dense (real-algebra) convs whose following ReLU was fused into
      *  the conv step (introspection for tests/benches). */
     int fused_conv_relu_count() const { return fused_real_convs_; }
@@ -118,17 +98,7 @@ class ModelExecutor
      *  on this number tracking the TILE plan, not the frame: a 1080p
      *  frame through 128x128 tile plans must never inflate it to
      *  frame-sized activations (pinned in the megapixel bench). */
-    int64_t arena_bytes() const
-    {
-        int64_t bytes = 0;
-        for (const auto& lane : slots_) {
-            for (const auto& t : lane) {
-                bytes += static_cast<int64_t>(t.vec().capacity()) *
-                         static_cast<int64_t>(sizeof(float));
-            }
-        }
-        return bytes;
-    }
+    int64_t arena_bytes() const { return rt_.arena_bytes(); }
 
     /** Re-syncs cached engines with layer parameter versions. Called
      *  automatically by run(). */
@@ -167,10 +137,8 @@ class ModelExecutor
     // ---- backend lowering of the shared plan (see executor.cc) ----
     void lower();
     void lower_ringconv(const plan::OpIR& op);
-    void lower_conv2d(const plan::OpIR& op);
 
     void exec(const Tensor* const* xs, int count);
-    void ensure_batch(int count);
 
     ExecutorOptions opt_;
     Shape in_shape_, out_shape_;
@@ -178,14 +146,8 @@ class ModelExecutor
 
     /** The shared-pipeline plan the steps below lower. */
     plan::GraphPlan plan_;
-
-    /** Activation arena: slots_[slot][image]. Buffers keep their
-     *  capacity across runs; the batch dimension grows on demand. */
-    std::vector<std::vector<Tensor>> slots_;
-    int entry_slot_ = -1, out_slot_ = -1;
-
-    /** Linear plan; each step processes the whole current batch. */
-    std::vector<std::function<void(int)>> steps_;
+    /** Arena, batch growth and the step loop (shared with int8). */
+    plan::Runtime<Tensor> rt_;
     std::vector<std::unique_ptr<EngineRec>> engines_;
     int fused_real_convs_ = 0;
     int fallback_steps_ = 0;

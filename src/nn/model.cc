@@ -58,13 +58,13 @@ Model::executor(const Shape& shape)
     // One caller at a time, so the claimed slot is released at once. A
     // reclaimed victim's plan is dropped BEFORE the new one compiles,
     // so at most kMaxPlans arenas are ever live.
-    plan::PlanCache<ModelExecutor>::Outcome outcome;
+    using Cache = plan::PlanCache<ModelExecutor>;
+    Cache::Outcome outcome;
     auto* e = plans_.claim(shape, &outcome);
     try {
-        if (outcome != plan::PlanCache<ModelExecutor>::Outcome::kHit) {
-            e->exec.reset();
-            e->exec = std::make_unique<ModelExecutor>(*this, shape);
-        }
+        Cache::prepare(e, [&] {
+            return std::make_unique<ModelExecutor>(*this, shape);
+        });
     } catch (...) {
         plans_.release(e, false);
         throw;

@@ -567,9 +567,6 @@ annotate_dense_sparsity(OpIR& op, const Tensor& w)
 struct F32Linearizer
 {
     GraphPlan p;
-    const LinearizeOptions& opt;
-
-    explicit F32Linearizer(const LinearizeOptions& o) : opt(o) {}
 
     OpIR& emit(OpKind kind, const void* node, int in0, const Shape& in_shape,
                const Shape& out_shape, int in1 = -1)
@@ -660,7 +657,7 @@ struct F32Linearizer
         }
         if (auto* pad = dynamic_cast<ChannelPad*>(l)) {
             const Shape os = pad->out_shape(shape);
-            if (opt.elide_noop_channel_ops && os[0] == shape[0]) {
+            if (os[0] == shape[0]) {
                 return in;  // no-op pad
             }
             OpIR& op = emit(OpKind::kChannelPad, pad, in, shape, os);
@@ -670,7 +667,7 @@ struct F32Linearizer
         }
         if (auto* crop = dynamic_cast<CropChannels*>(l)) {
             const Shape os = crop->out_shape(shape);
-            if (opt.elide_noop_channel_ops && os[0] == shape[0]) {
+            if (os[0] == shape[0]) {
                 return in;  // no-op crop
             }
             OpIR& op = emit(OpKind::kCropChannels, crop, in, shape, os);
@@ -705,11 +702,11 @@ struct F32Linearizer
 }  // namespace
 
 GraphPlan
-linearize(nn::Layer& root, const Shape& in_shape, const LinearizeOptions& opt)
+linearize(nn::Layer& root, const Shape& in_shape)
 {
     RINGCNN_CHECK(in_shape.size() == 3,
                   "executor input must be a CHW shape");
-    F32Linearizer lin(opt);
+    F32Linearizer lin;
     lin.p.in_shape = in_shape;
     Shape shape = in_shape;
     lin.p.out_value = lin.walk(&root, lin.p.entry_value, shape);

@@ -257,14 +257,6 @@ struct OpIR
     int out_slot = -1;
 };
 
-struct LinearizeOptions
-{
-    /** Drop ChannelPad/CropChannels ops whose output shape equals the
-     *  input (the fp32 executor elides them; the int8 graph has no
-     *  no-op pads — conversion emits them only when needed). */
-    bool elide_noop_channel_ops = true;
-};
-
 /** A compiled, backend-neutral plan. */
 struct GraphPlan
 {
@@ -298,9 +290,11 @@ struct GraphPlan
 
 /** Linearizes a float layer tree. Carries the executor's shape
  *  validation: throws std::invalid_argument (via RINGCNN_CHECK) on a
- *  non-CHW input shape or mismatched residual/branch shapes. */
-GraphPlan linearize(nn::Layer& root, const Shape& in_shape,
-                    const LinearizeOptions& opt = {});
+ *  non-CHW input shape or mismatched residual/branch shapes.
+ *  ChannelPad/CropChannels layers whose output shape equals their
+ *  input emit no op (the int8 graph has no no-op pads — conversion
+ *  emits them only when needed). */
+GraphPlan linearize(nn::Layer& root, const Shape& in_shape);
 
 /** Linearizes a quantized node graph. Shape-free; threads the
  *  accumulator bit width so each op records the feature bits live at

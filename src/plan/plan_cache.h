@@ -3,21 +3,20 @@
  * PlanCache: the shape-keyed LRU cache of compiled executor plans,
  * backend-agnostic — the one plan-cache policy in the library.
  *
- * nn::Model::executor() claims its fp32 plans through it, and both
- * serving backends hold their compiled lowerings of the shared plan
- * pipeline in it: nn::ModelExecutor for fp32 and the quantized engine
- * path for int8. The policy is identical everywhere — bounded slots,
- * LRU stamps, and evictions that RECLAIM the stalest idle plan's slot
- * for the incoming shape — so it lives here once, templated over the
- * executor type.
+ * nn::Model::executor() claims its fp32 plans through it, and the
+ * serving backend holds its compiled lowerings of the shared plan
+ * pipeline in it, over either executor: nn::ModelExecutor for fp32 and
+ * quant::QuantExecutor for int8. The policy is identical everywhere —
+ * bounded slots, LRU stamps, and evictions that RECLAIM the stalest
+ * idle plan's slot for the incoming shape — so it lives here once,
+ * templated over the executor type.
  *
- * Exec requirements:
- *  - `const Shape& in_shape() const` — the shape the plan is bound to
- *    (used for cache hits).
- * Preparing a claimed slot stays with the caller (compile fresh, or
- * for a reclaimed slot reset the victim's exec first and compile
- * fresh): it is the expensive step, it must run OUTSIDE a server's
- * lock, and its signature is backend-specific.
+ * Hits are keyed on Entry::shape, the shape a slot was claimed for,
+ * so Exec needs no shape accessor: any executor type can be cached.
+ * Every claim that is not a hit compiles fresh, through prepare(),
+ * which the caller runs OUTSIDE a server's lock (it is the expensive
+ * step): a reclaimed slot first drops the victim's plan, so at most
+ * max_plans arenas are ever live.
  *
  * Threading: claim()/release()/trim() mutate shared state and require
  * the caller's lock; an Entry marked busy is owned by exactly one
@@ -44,7 +43,7 @@ class PlanCache
         kHit,     ///< an idle plan already bound to this shape
         kFresh,    ///< a new slot was reserved; exec is null
         kReclaim,  ///< an idle LRU plan's slot was reserved; its exec
-                   ///< still holds the old shape's plan
+                   ///< still holds the victim's plan (stale)
     };
 
     /** One cached compiled plan. */
@@ -53,6 +52,8 @@ class PlanCache
         Shape shape;                 ///< shape this slot is claimed for
         std::unique_ptr<Exec> exec;  ///< null until first prepared
         bool busy = false;
+        /** exec holds a reclaimed victim's plan; prepare() drops it. */
+        bool stale = false;
         uint64_t stamp = 0;  ///< LRU clock at last use
     };
 
@@ -86,8 +87,8 @@ class PlanCache
         // dispatches one batch per shape), so a plan bound to this
         // shape is never busy here.
         for (auto& e : entries_) {
-            if (!e->busy && e->exec != nullptr &&
-                e->exec->in_shape() == shape) {
+            if (!e->busy && e->exec != nullptr && !e->stale &&
+                e->shape == shape) {
                 e->busy = true;
                 e->stamp = ++clock_;
                 ++counters_.hits;
@@ -124,6 +125,7 @@ class PlanCache
                 victim->busy = true;
                 victim->stamp = ++clock_;
                 victim->shape = shape;
+                victim->stale = true;
                 ++counters_.reclaims;
                 *outcome = Outcome::kReclaim;
                 return victim;
@@ -137,6 +139,24 @@ class PlanCache
         ++counters_.fresh;
         *outcome = Outcome::kFresh;
         return e;
+    }
+
+    /**
+     * Readies a claimed entry: a hit is returned as is; any other claim
+     * drops a reclaimed victim's plan FIRST and compiles `make()` in
+     * its place. Runs without the cache lock (the entry is busy, so
+     * only its claimant touches it); a throwing make() leaves the
+     * entry for release(ok=false).
+     */
+    template <class Make>
+    static Exec& prepare(Entry* e, Make&& make)
+    {
+        if (e->exec == nullptr || e->stale) {
+            e->exec.reset();
+            e->exec = make();
+            e->stale = false;
+        }
+        return *e->exec;
     }
 
     /** Returns a claimed entry; a failed prepare/run drops the plan so

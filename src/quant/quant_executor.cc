@@ -8,6 +8,7 @@
 #include "core/simd.h"
 #include "plan/arena_planner.h"
 #include "plan/fusion_pass.h"
+#include "tensor/image_ops.h"
 #include "util/check.h"
 #include "util/fault.h"
 #include "util/thread_pool.h"
@@ -20,13 +21,12 @@ namespace {
 // quant/qformat.h — one definition shared with the scalar oracle.
 
 QAct
-to_qact(const Shape& shape, const std::vector<int32_t>& v,
-        const std::vector<int>& frac)
+to_qact(const IAct& x)
 {
     QAct q;
-    q.shape = shape;
-    q.frac = frac;
-    q.v.assign(v.begin(), v.end());
+    q.shape = x.shape;
+    q.frac = x.frac;
+    q.v.assign(x.v.begin(), x.v.end());
     return q;
 }
 
@@ -34,42 +34,45 @@ to_qact(const Shape& shape, const std::vector<int32_t>& v,
 
 // ---- construction / compilation --------------------------------------------
 
-QuantExecutor::QuantExecutor(const QuantizedModel& qm, QuantExecOptions opt)
-    : opt_(opt), qopt_(qm.options()), input_fmt_(qm.input_format()),
-      root_(qm.root())
+plan::GraphPlan
+QuantExecutor::compile_plan(const QuantizedModel& qm)
 {
-    RINGCNN_CHECK(qopt_.feature_bits >= 2 && qopt_.feature_bits <= 30,
-                  "quantized executor supports feature widths of 2..30 "
-                  "bits, got " + std::to_string(qopt_.feature_bits));
     // The shared compile pipeline (src/plan) with the int8 policy:
     // requant/directional fusion is unconditional — the quantized graph
     // always terminates a conv with its requant/dir node and even the
     // scalar-oracle lowering chains the pair in one step so the wide
     // int64 intermediate never has to fit the int32 arena.
-    plan_ = plan::linearize(*root_, qopt_.feature_bits);
-    plan::fuse_epilogues(plan_, plan::FusionOptions{});
-    plan::plan_arena(plan_);
-    slots_.resize(static_cast<size_t>(plan_.num_slots));
-    entry_slot_ = plan_.entry_slot;
-    out_slot_ = plan_.out_slot;
+    plan::GraphPlan p =
+        plan::linearize(*qm.root(), qm.options().feature_bits);
+    plan::fuse_epilogues(p, plan::FusionOptions{});
+    plan::plan_arena(p);
+    return p;
+}
+
+QuantExecutor::QuantExecutor(const QuantizedModel& qm, plan::ExecOptions opt)
+    : opt_(opt), qopt_(qm.options()), input_fmt_(qm.input_format()),
+      root_(qm.root()), plan_(compile_plan(qm)), rt_(plan_, opt_.threads)
+{
+    RINGCNN_CHECK(qopt_.feature_bits >= 2 && qopt_.feature_bits <= 30,
+                  "quantized executor supports feature widths of 2..30 "
+                  "bits, got " + std::to_string(qopt_.feature_bits));
     lower();
 }
 
 QuantExecutor::~QuantExecutor() = default;
 
+namespace {
+
+/** Output rows per conv task: a few tasks per worker across the output
+ *  bands. Any banding is bit-equivalent; this only shapes the grain. */
 int
-QuantExecutor::band_rows(int h, int groups_total) const
+band_rows(int h, int groups_total, int threads)
 {
-    if (opt_.row_band > 0) return std::min(opt_.row_band, h);
-    // A few tasks per worker across the output bands; any banding is
-    // bit-equivalent, this only shapes the parallel grain.
-    const int target_tasks = std::max(threads_ * 4, groups_total);
+    const int target_tasks = std::max(threads * 4, groups_total);
     const int bands = std::max(1, target_tasks / std::max(groups_total, 1));
     const int bh = std::max((h + bands - 1) / bands, std::min(8, h));
     return std::min(bh, h);
 }
-
-namespace {
 
 /** True when a shift_round_saturate(v, s, .) stage over |v| <= bound
  *  keeps its rounding add and left shift inside int32 — the condition
@@ -214,30 +217,8 @@ QuantExecutor::lower_conv(const plan::OpIR& op)
     const int in = op.in0_slot;
     const int out = op.out_slot;
     if (!fast) {
-        // Scalar oracle walk for this conv AND its epilogue, chained in
-        // one step so the wide int64 intermediate never has to fit the
-        // int32 arena.
         ++scalar_convs_;
-        steps_.push_back([this, conv, dir, req, in, out](int batch) {
-            auto& ins = slots_[static_cast<size_t>(in)];
-            auto& outs = slots_[static_cast<size_t>(out)];
-            for (int b = 0; b < batch; ++b) {
-                IAct& x = ins[static_cast<size_t>(b)];
-                QAct q = to_qact(x.shape, x.v, x.frac);
-                QAct r = conv->forward(q);
-                if (dir != nullptr) r = dir->forward(r);
-                if (req != nullptr) r = req->forward(r);
-                IAct& o = outs[static_cast<size_t>(b)];
-                o.reset(r.shape);
-                o.frac = r.frac;
-                for (size_t j = 0; j < r.v.size(); ++j) {
-                    RINGCNN_CHECK(r.v[j] >= INT32_MIN && r.v[j] <= INT32_MAX,
-                                  "scalar-path activation exceeds the "
-                                  "int32 arena");
-                    o.v[j] = static_cast<int32_t>(r.v[j]);
-                }
-            }
-        });
+        lower_oracle({conv, dir, req}, in, out);
         return;
     }
 
@@ -263,12 +244,19 @@ QuantExecutor::lower_conv(const plan::OpIR& op)
     auto vb = cs != nullptr ? std::make_shared<VerifyBufs>() : nullptr;
     auto sh = std::make_shared<const EpilogueShifts>(std::move(shifts));
 
-    steps_.push_back([this, dir, req, in, out, kidx, gn, cs, opidx, vb,
-                      sh](int batch) {
+    rt_.add([this, dir, req, in, out, kidx, gn, cs, opidx, vb,
+             sh](int batch) {
         const QuantConvKernel& K = *kernels_[kidx];
-        auto& ins = slots_[static_cast<size_t>(in)];
-        auto& outs = slots_[static_cast<size_t>(out)];
+        auto& ins = rt_.slot(in);
+        auto& outs = rt_.slot(out);
         const int co = K.co();
+        const int threads = util::resolve_threads(opt_.threads);
+        if (wband_.size() < static_cast<size_t>(threads)) {
+            wband_.resize(static_cast<size_t>(threads));
+        }
+        if (packed_in_.size() < static_cast<size_t>(batch)) {
+            packed_in_.resize(static_cast<size_t>(batch));
+        }
 
         // Pack every image into the shared int16 scratch (and bind its
         // tap table) before any band runs; the tasks only read it.
@@ -307,7 +295,7 @@ QuantExecutor::lower_conv(const plan::OpIR& op)
                             static_cast<int>(i % pairs),
                             packed_.data() + (px.x - packed_.data()));
             },
-            threads_);
+            threads);
 
         // Input ring-sums, likewise before any output is written.
         const size_t taps = cs != nullptr ? cs->num_input_sums() : 0;
@@ -330,7 +318,7 @@ QuantExecutor::lower_conv(const plan::OpIR& op)
             o.frac = dir != nullptr ? dir->out_frac
                                     : (req != nullptr ? req->target
                                                       : K.out_frac());
-            const int bh = band_rows(px.h, groups_total);
+            const int bh = band_rows(px.h, groups_total, threads);
             for (int g = 0; g < co / gn; ++g) {
                 for (int y0 = 0; y0 < px.h; y0 += bh) {
                     tasks_.push_back({b, g, y0, std::min(y0 + bh, px.h)});
@@ -427,7 +415,7 @@ QuantExecutor::lower_conv(const plan::OpIR& op)
                     }
                 }
             },
-            threads_);
+            threads);
 
         if (cs != nullptr) {
             vb->out_sums.assign(static_cast<size_t>(batch) * co, 0);
@@ -454,23 +442,21 @@ QuantExecutor::lower_conv(const plan::OpIR& op)
 }
 
 void
-QuantExecutor::lower_fallback(const QNode* node, int in, int out)
+QuantExecutor::lower_oracle(std::vector<const QNode*> chain, int in, int out)
 {
-    steps_.push_back([this, node, in, out](int batch) {
-        auto& ins = slots_[static_cast<size_t>(in)];
-        auto& outs = slots_[static_cast<size_t>(out)];
-        for (int b = 0; b < batch; ++b) {
-            IAct& x = ins[static_cast<size_t>(b)];
-            const QAct r =
-                node->forward(to_qact(x.shape, x.v, x.frac));
-            IAct& o = outs[static_cast<size_t>(b)];
-            o.reset(r.shape);
-            o.frac = r.frac;
-            for (size_t j = 0; j < r.v.size(); ++j) {
-                RINGCNN_CHECK(r.v[j] >= INT32_MIN && r.v[j] <= INT32_MAX,
-                              "fallback activation exceeds the int32 arena");
-                o.v[j] = static_cast<int32_t>(r.v[j]);
-            }
+    // A conv and its epilogue walk in one step, so the wide int64
+    // intermediate never has to fit the int32 arena.
+    rt_.per_image(in, out, [chain](const IAct& x, IAct& o) {
+        QAct r = to_qact(x);
+        for (const QNode* n : chain) {
+            if (n != nullptr) r = n->forward(r);
+        }
+        o.reset(r.shape);
+        o.frac = r.frac;
+        for (size_t j = 0; j < r.v.size(); ++j) {
+            RINGCNN_CHECK(r.v[j] >= INT32_MIN && r.v[j] <= INT32_MAX,
+                          "oracle-path activation exceeds the int32 arena");
+            o.v[j] = static_cast<int32_t>(r.v[j]);
         }
     });
 }
@@ -482,35 +468,27 @@ QuantExecutor::lower_aligned_add(const std::vector<int>* out_frac, int bits,
     // Both operands shift onto the output format at bits + 2, then the
     // sum saturates to bits — the QResidualNode / QTwoBranchNode
     // sequence. In place over either input slot when the plan allows
-    // it: each (image, channel) plane reads its inputs before writing
-    // the same positions, and the fracs are read before O.frac is.
-    steps_.push_back([this, out_frac, bits, a_slot, b_slot, out](int batch) {
-        auto& as = slots_[static_cast<size_t>(a_slot)];
-        auto& bs = slots_[static_cast<size_t>(b_slot)];
-        auto& outs = slots_[static_cast<size_t>(out)];
-        const int c = as[0].shape[0];
-        for (int b = 0; b < batch; ++b) {
-            outs[static_cast<size_t>(b)].reset(
-                as[static_cast<size_t>(b)].shape);  // no-op when aliased
-        }
-        util::parallel_for(
-            static_cast<int64_t>(batch) * c,
-            [&](int64_t i) {
-                const size_t b = static_cast<size_t>(i / c);
-                const int ch = static_cast<int>(i % c);
-                const IAct& A = as[b];
-                const IAct& B = bs[b];
-                const int target = (*out_frac)[static_cast<size_t>(ch)];
-                const int sa = A.frac[static_cast<size_t>(ch)] - target;
-                const int sb = B.frac[static_cast<size_t>(ch)] - target;
-                const int32_t* pa = A.ch(ch);
-                const int32_t* pb = B.ch(ch);
-                int32_t* po = outs[b].ch(ch);
-                const int64_t plane = A.plane();
-                if (sa >= -31 && sb >= -31 && bits <= 29) {
-                    simd::add_aligned_i32(po, pa, pb, plane, sa, sb, bits);
-                    return;
-                }
+    // it: each (image, channel) task reads its inputs' planes and fracs
+    // before writing the same positions and its own frac entry.
+    rt_.per_channel(
+        a_slot, b_slot, out,
+        [](const IAct& A, const IAct&, IAct& O) {
+            O.reset(A.shape);  // no-op when aliased
+            O.frac.resize(static_cast<size_t>(A.shape[0]));
+            return A.shape[0];
+        },
+        [out_frac, bits](const IAct& A, const IAct& B, IAct& O, int ch) {
+            const size_t c = static_cast<size_t>(ch);
+            const int target = (*out_frac)[c];
+            const int sa = A.frac[c] - target;
+            const int sb = B.frac[c] - target;
+            const int32_t* pa = A.ch(ch);
+            const int32_t* pb = B.ch(ch);
+            int32_t* po = O.ch(ch);
+            const int64_t plane = A.plane();
+            if (sa >= -31 && sb >= -31 && bits <= 29) {
+                simd::add_aligned_i32(po, pa, pb, plane, sa, sb, bits);
+            } else {
                 for (int64_t p = 0; p < plane; ++p) {
                     const int64_t va =
                         shift_round_saturate(pa[p], sa, bits + 2);
@@ -519,12 +497,9 @@ QuantExecutor::lower_aligned_add(const std::vector<int>* out_frac, int bits,
                     po[p] = static_cast<int32_t>(
                         shift_round_saturate(va + vb, 0, bits));
                 }
-            },
-            threads_);
-        for (int b = 0; b < batch; ++b) {
-            outs[static_cast<size_t>(b)].frac = *out_frac;
-        }
-    });
+            }
+            O.frac[c] = target;
+        });
 }
 
 void
@@ -535,185 +510,93 @@ QuantExecutor::lower()
         if (op.fused) continue;  // absorbed into its conv's epilogue
         const int in = op.in0_slot;
         const int out = op.out_slot;
+        const int r = op.arg;
         switch (op.kind) {
         case OpKind::kRingConv:
             lower_conv(op);
             break;
         case OpKind::kRequant: {
-            // In place when the plan made this its input's last use.
+            // In place when the plan made this its input's last use:
+            // each channel reads its frac before rewriting it.
             const auto* req = static_cast<const QRequantNode*>(op.node);
-            steps_.push_back([this, req, in, out](int batch) {
-                auto& ins = slots_[static_cast<size_t>(in)];
-                auto& outs = slots_[static_cast<size_t>(out)];
-                for (int b = 0; b < batch; ++b) {
-                    IAct& x = ins[static_cast<size_t>(b)];
-                    IAct& o = outs[static_cast<size_t>(b)];
-                    const int c = x.shape[0];
-                    const int64_t plane = x.plane();
-                    const Shape shape = x.shape;
-                    std::vector<int> shifts(static_cast<size_t>(c));
-                    for (int ch = 0; ch < c; ++ch) {
-                        shifts[static_cast<size_t>(ch)] =
-                            x.frac[static_cast<size_t>(ch)] -
-                            req->target[static_cast<size_t>(ch)];
+            rt_.per_channel(
+                in, out,
+                [](const IAct& x, IAct& o) {
+                    o.reset(x.shape);  // no-op when in place
+                    o.frac.resize(static_cast<size_t>(x.shape[0]));
+                    return x.shape[0];
+                },
+                [req](const IAct& x, IAct& o, int ch) {
+                    const size_t c = static_cast<size_t>(ch);
+                    const int shift = x.frac[c] - req->target[c];
+                    const int32_t* src = x.ch(ch);
+                    int32_t* dst = o.ch(ch);
+                    for (int64_t p = 0; p < x.plane(); ++p) {
+                        int64_t v = src[p];
+                        if (req->relu_first && v < 0) v = 0;
+                        dst[p] = static_cast<int32_t>(
+                            shift_round_saturate(v, shift, req->bits));
                     }
-                    o.reset(shape);  // no-op when in place
-                    o.frac = req->target;
-                    for (int ch = 0; ch < c; ++ch) {
-                        const int shift = shifts[static_cast<size_t>(ch)];
-                        const int32_t* src = x.ch(ch);
-                        int32_t* dst = o.ch(ch);
-                        for (int64_t p = 0; p < plane; ++p) {
-                            int64_t v = src[p];
-                            if (req->relu_first && v < 0) v = 0;
-                            dst[p] = static_cast<int32_t>(
-                                shift_round_saturate(v, shift, req->bits));
-                        }
-                    }
-                }
-            });
+                    o.frac[c] = req->target[c];
+                });
             break;
         }
-        case OpKind::kDirRelu:
-            // A directional ReLU is always fused behind its conv by the
-            // fusion pass; a standalone one (defensive) takes the
-            // oracle.
-            lower_fallback(static_cast<const QNode*>(op.node), in, out);
-            break;
-        case OpKind::kPixelShuffle: {
-            const int r = op.arg;
-            steps_.push_back([this, in, out, r](int batch) {
-                auto& ins = slots_[static_cast<size_t>(in)];
-                auto& outs = slots_[static_cast<size_t>(out)];
-                const int c = ins[0].shape[0] / (r * r);
-                for (int b = 0; b < batch; ++b) {
-                    IAct& x = ins[static_cast<size_t>(b)];
-                    IAct& o = outs[static_cast<size_t>(b)];
+        case OpKind::kPixelShuffle:
+            rt_.per_channel(
+                in, out,
+                [r](const IAct& x, IAct& o) {
+                    const int c = x.shape[0] / (r * r);
                     o.reset({c, x.shape[1] * r, x.shape[2] * r});
                     o.frac.resize(static_cast<size_t>(c));
                     for (int oc = 0; oc < c; ++oc) {
                         o.frac[static_cast<size_t>(oc)] =
                             x.frac[static_cast<size_t>(oc * r * r)];
                     }
-                }
-                // One task per (image, output channel).
-                util::parallel_for(
-                    static_cast<int64_t>(batch) * c,
-                    [&](int64_t i) {
-                        const IAct& x = ins[static_cast<size_t>(i / c)];
-                        IAct& o = outs[static_cast<size_t>(i / c)];
-                        const int oc = static_cast<int>(i % c);
-                        const int h = x.shape[1], w = x.shape[2];
-                        int32_t* dst = o.ch(oc);
-                        for (int dy = 0; dy < r; ++dy) {
-                            for (int dx = 0; dx < r; ++dx) {
-                                const int32_t* src =
-                                    x.ch((oc * r + dy) * r + dx);
-                                for (int y = 0; y < h; ++y) {
-                                    int32_t* drow =
-                                        dst +
-                                        (static_cast<int64_t>(y) * r + dy) *
-                                            (w * r) +
-                                        dx;
-                                    const int32_t* srow =
-                                        src + static_cast<int64_t>(y) * w;
-                                    for (int xx = 0; xx < w; ++xx) {
-                                        drow[xx * r] = srow[xx];
-                                    }
-                                }
-                            }
-                        }
-                    },
-                    threads_);
-            });
+                    return c;
+                },
+                [r](const IAct& x, IAct& o, int c) {
+                    pixel_shuffle_channel(x.v.data(), x.shape[1], x.shape[2],
+                                          r, c, o.v.data());
+                });
             break;
-        }
-        case OpKind::kPixelUnshuffle: {
-            const int r = op.arg;
-            steps_.push_back([this, in, out, r](int batch) {
-                auto& ins = slots_[static_cast<size_t>(in)];
-                auto& outs = slots_[static_cast<size_t>(out)];
-                const int c = ins[0].shape[0];
-                for (int b = 0; b < batch; ++b) {
-                    IAct& x = ins[static_cast<size_t>(b)];
-                    IAct& o = outs[static_cast<size_t>(b)];
+        case OpKind::kPixelUnshuffle:
+            rt_.per_channel(
+                in, out,
+                [r](const IAct& x, IAct& o) {
+                    const int c = x.shape[0];
                     o.reset({c * r * r, x.shape[1] / r, x.shape[2] / r});
                     o.frac.resize(static_cast<size_t>(c) * r * r);
                     for (int oc = 0; oc < c * r * r; ++oc) {
                         o.frac[static_cast<size_t>(oc)] =
                             x.frac[static_cast<size_t>(oc / (r * r))];
                     }
-                }
-                // One task per (image, input channel).
-                util::parallel_for(
-                    static_cast<int64_t>(batch) * c,
-                    [&](int64_t i) {
-                        const IAct& x = ins[static_cast<size_t>(i / c)];
-                        IAct& o = outs[static_cast<size_t>(i / c)];
-                        const int ic = static_cast<int>(i % c);
-                        const int h = o.shape[1], w = o.shape[2];
-                        const int32_t* src = x.ch(ic);
-                        for (int dy = 0; dy < r; ++dy) {
-                            for (int dx = 0; dx < r; ++dx) {
-                                int32_t* dst = o.ch((ic * r + dy) * r + dx);
-                                for (int y = 0; y < h; ++y) {
-                                    const int32_t* srow =
-                                        src +
-                                        (static_cast<int64_t>(y) * r + dy) *
-                                            (w * r) +
-                                        dx;
-                                    int32_t* drow =
-                                        dst + static_cast<int64_t>(y) * w;
-                                    for (int xx = 0; xx < w; ++xx) {
-                                        drow[xx] = srow[xx * r];
-                                    }
-                                }
-                            }
-                        }
-                    },
-                    threads_);
-            });
+                    return c;
+                },
+                [r](const IAct& x, IAct& o, int c) {
+                    pixel_unshuffle_channel(x.v.data(), o.shape[1],
+                                            o.shape[2], r, c, o.v.data());
+                });
             break;
-        }
-        case OpKind::kChannelPad: {
-            const int multiple = op.arg;
-            steps_.push_back([this, in, out, multiple](int batch) {
-                auto& ins = slots_[static_cast<size_t>(in)];
-                auto& outs = slots_[static_cast<size_t>(out)];
-                for (int b = 0; b < batch; ++b) {
-                    IAct& x = ins[static_cast<size_t>(b)];
-                    IAct& o = outs[static_cast<size_t>(b)];
+        case OpKind::kChannelPad:
+        case OpKind::kCropChannels: {
+            // op.arg is the pad's channel multiple or the crop's keep
+            // count; channels past the input's take its first frac.
+            const bool pad = op.kind == OpKind::kChannelPad;
+            rt_.per_channel(
+                in, out,
+                [pad, r](const IAct& x, IAct& o) {
                     const int c = x.shape[0];
-                    const int want =
-                        (c + multiple - 1) / multiple * multiple;
+                    const int want = pad ? (c + r - 1) / r * r : r;
                     o.reset({want, x.shape[1], x.shape[2]});
                     o.frac.assign(static_cast<size_t>(want), x.frac[0]);
-                    for (int ch = 0; ch < c; ++ch) {
-                        o.frac[static_cast<size_t>(ch)] =
-                            x.frac[static_cast<size_t>(ch)];
-                    }
-                    std::memcpy(o.v.data(), x.v.data(),
-                                x.v.size() * sizeof(int32_t));
-                    std::fill(o.v.begin() + static_cast<int64_t>(x.v.size()),
-                              o.v.end(), 0);
-                }
-            });
-            break;
-        }
-        case OpKind::kCropChannels: {
-            const int keep = op.arg;
-            steps_.push_back([this, in, out, keep](int batch) {
-                auto& ins = slots_[static_cast<size_t>(in)];
-                auto& outs = slots_[static_cast<size_t>(out)];
-                for (int b = 0; b < batch; ++b) {
-                    IAct& x = ins[static_cast<size_t>(b)];
-                    IAct& o = outs[static_cast<size_t>(b)];
-                    o.reset({keep, x.shape[1], x.shape[2]});
-                    o.frac.assign(x.frac.begin(), x.frac.begin() + keep);
-                    std::memcpy(o.v.data(), x.v.data(),
-                                o.v.size() * sizeof(int32_t));
-                }
-            });
+                    std::copy_n(x.frac.begin(), std::min(c, want),
+                                o.frac.begin());
+                    return want;
+                },
+                [](const IAct& x, IAct& o, int c) {
+                    pad_crop_channel(x.v.data(), x.shape[0], x.plane(), c,
+                                     o.v.data());
+                });
             break;
         }
         case OpKind::kResidualAdd: {
@@ -732,67 +615,59 @@ QuantExecutor::lower()
         }
         case OpKind::kUpsample: {
             const auto* up = static_cast<const QBilinearNode*>(op.node);
-            steps_.push_back([this, up, in, out](int batch) {
-                auto& ins = slots_[static_cast<size_t>(in)];
-                auto& outs = slots_[static_cast<size_t>(out)];
-                const int r = up->r;
-                const int wbits = 2 * ceil_log2(2 * r);
-                for (int b = 0; b < batch; ++b) {
-                    IAct& x = ins[static_cast<size_t>(b)];
-                    IAct& o = outs[static_cast<size_t>(b)];
-                    const int c = x.shape[0], h = x.shape[1],
-                              w = x.shape[2];
-                    const int ho = h * r, wo = w * r;
-                    o.reset({c, ho, wo});
+            rt_.per_channel(
+                in, out,
+                [up](const IAct& x, IAct& o) {
+                    o.reset({x.shape[0], x.shape[1] * up->r,
+                             x.shape[2] * up->r});
                     o.frac = up->target;
-                    for (int ic = 0; ic < c; ++ic) {
-                        const int shift = x.frac[static_cast<size_t>(ic)] +
-                                          wbits -
-                                          up->target[static_cast<size_t>(ic)];
-                        const int32_t* src = x.ch(ic);
-                        int32_t* dst = o.ch(ic);
-                        for (int oy = 0; oy < ho; ++oy) {
-                            int num_y = 2 * oy + 1 - r;
-                            num_y = std::max(0, std::min(num_y,
-                                                         2 * r * (h - 1)));
-                            const int y0 = num_y / (2 * r);
-                            const int wy = num_y - 2 * r * y0;
-                            const int y1 = std::min(y0 + 1, h - 1);
-                            for (int ox = 0; ox < wo; ++ox) {
-                                int num_x = 2 * ox + 1 - r;
-                                num_x = std::max(
-                                    0, std::min(num_x, 2 * r * (w - 1)));
-                                const int x0 = num_x / (2 * r);
-                                const int wx = num_x - 2 * r * x0;
-                                const int x1 = std::min(x0 + 1, w - 1);
-                                const int64_t acc =
-                                    static_cast<int64_t>(2 * r - wy) *
-                                        (2 * r - wx) *
-                                        src[static_cast<int64_t>(y0) * w +
-                                            x0] +
-                                    static_cast<int64_t>(2 * r - wy) * wx *
-                                        src[static_cast<int64_t>(y0) * w +
-                                            x1] +
-                                    static_cast<int64_t>(wy) * (2 * r - wx) *
-                                        src[static_cast<int64_t>(y1) * w +
-                                            x0] +
-                                    static_cast<int64_t>(wy) * wx *
-                                        src[static_cast<int64_t>(y1) * w +
-                                            x1];
-                                dst[static_cast<int64_t>(oy) * wo + ox] =
-                                    static_cast<int32_t>(
-                                        shift_round_saturate(acc, shift,
-                                                             up->bits));
-                            }
+                    return x.shape[0];
+                },
+                [up](const IAct& x, IAct& o, int ic) {
+                    const int r = up->r;
+                    const int h = x.shape[1], w = x.shape[2];
+                    const int ho = h * r, wo = w * r;
+                    const int shift = x.frac[static_cast<size_t>(ic)] +
+                                      2 * ceil_log2(2 * r) -
+                                      up->target[static_cast<size_t>(ic)];
+                    const int32_t* src = x.ch(ic);
+                    int32_t* dst = o.ch(ic);
+                    for (int oy = 0; oy < ho; ++oy) {
+                        int num_y = 2 * oy + 1 - r;
+                        num_y = std::max(0, std::min(num_y, 2 * r * (h - 1)));
+                        const int y0 = num_y / (2 * r);
+                        const int wy = num_y - 2 * r * y0;
+                        const int y1 = std::min(y0 + 1, h - 1);
+                        for (int ox = 0; ox < wo; ++ox) {
+                            int num_x = 2 * ox + 1 - r;
+                            num_x =
+                                std::max(0, std::min(num_x, 2 * r * (w - 1)));
+                            const int x0 = num_x / (2 * r);
+                            const int wx = num_x - 2 * r * x0;
+                            const int x1 = std::min(x0 + 1, w - 1);
+                            const int64_t acc =
+                                static_cast<int64_t>(2 * r - wy) *
+                                    (2 * r - wx) *
+                                    src[static_cast<int64_t>(y0) * w + x0] +
+                                static_cast<int64_t>(2 * r - wy) * wx *
+                                    src[static_cast<int64_t>(y0) * w + x1] +
+                                static_cast<int64_t>(wy) * (2 * r - wx) *
+                                    src[static_cast<int64_t>(y1) * w + x0] +
+                                static_cast<int64_t>(wy) * wx *
+                                    src[static_cast<int64_t>(y1) * w + x1];
+                            dst[static_cast<int64_t>(oy) * wo + ox] =
+                                static_cast<int32_t>(shift_round_saturate(
+                                    acc, shift, up->bits));
                         }
                     }
-                }
-            });
+                });
             break;
         }
         default:
-            // Unknown node type: oracle walk.
-            lower_fallback(static_cast<const QNode*>(op.node), in, out);
+            // A standalone directional ReLU (the fusion pass always
+            // folds one behind its conv; defensive) or an unknown node
+            // type: oracle walk.
+            lower_oracle({static_cast<const QNode*>(op.node)}, in, out);
             break;
         }
     }
@@ -801,33 +676,11 @@ QuantExecutor::lower()
 // ---- execution -------------------------------------------------------------
 
 void
-QuantExecutor::ensure_batch(int count)
-{
-    if (count <= batch_capacity_) return;
-    for (auto& slot : slots_) slot.resize(static_cast<size_t>(count));
-    packed_in_.resize(static_cast<size_t>(count));
-    batch_capacity_ = count;
-}
-
-void
-QuantExecutor::exec(int count, const std::function<void(int, IAct&)>& load)
-{
-    threads_ = util::resolve_threads(opt_.threads);
-    if (static_cast<int>(wband_.size()) < threads_) {
-        wband_.resize(static_cast<size_t>(threads_));
-    }
-    ensure_batch(count);
-    auto& entry = slots_[static_cast<size_t>(entry_slot_)];
-    for (int b = 0; b < count; ++b) load(b, entry[static_cast<size_t>(b)]);
-    for (auto& step : steps_) step(count);
-}
-
-void
 QuantExecutor::exec(const QAct* const* ins, int count)
 {
     const int64_t lo = -(INT64_C(1) << (qopt_.feature_bits - 1));
     const int64_t hi = (INT64_C(1) << (qopt_.feature_bits - 1)) - 1;
-    exec(count, [&](int b, IAct& e) {
+    rt_.run(count, [&](int b, IAct& e) {
         const QAct& q = *ins[b];
         RINGCNN_CHECK(q.shape.size() == 3 &&
                           q.frac.size() == static_cast<size_t>(q.shape[0]),
@@ -849,8 +702,7 @@ QuantExecutor::run(const QAct& in)
 {
     const QAct* p = &in;
     exec(&p, 1);
-    IAct& o = slots_[static_cast<size_t>(out_slot_)][0];
-    return to_qact(o.shape, o.v, o.frac);
+    return to_qact(rt_.out()[0]);
 }
 
 std::vector<QAct>
@@ -862,8 +714,7 @@ QuantExecutor::run(const std::vector<QAct>& ins)
     std::vector<QAct> out;
     out.reserve(ins.size());
     for (size_t i = 0; i < ins.size(); ++i) {
-        IAct& o = slots_[static_cast<size_t>(out_slot_)][i];
-        out.push_back(to_qact(o.shape, o.v, o.frac));
+        out.push_back(to_qact(rt_.out()[i]));
     }
     return out;
 }
@@ -873,7 +724,7 @@ QuantExecutor::forward(const Tensor& x)
 {
     const Tensor* p = &x;
     Tensor y;
-    forward_into(&p, &y, 1);
+    run_into(&p, &y, 1);
     return y;
 }
 
@@ -883,17 +734,17 @@ QuantExecutor::forward(const std::vector<Tensor>& xs)
     std::vector<Tensor> res(xs.size());
     std::vector<const Tensor*> ptrs(xs.size());
     for (size_t i = 0; i < xs.size(); ++i) ptrs[i] = &xs[i];
-    forward_into(ptrs.data(), res.data(), static_cast<int>(xs.size()));
+    run_into(ptrs.data(), res.data(), static_cast<int>(xs.size()));
     return res;
 }
 
 void
-QuantExecutor::forward_into(const Tensor* const* xs, Tensor* outs, int count)
+QuantExecutor::run_into(const Tensor* const* xs, Tensor* outs, int count)
 {
     // QuantizedModel::quantize_input / dequantize, straight into the
     // entry slot and out of the output slot. The input format saturates
     // to feature_bits, the width the plan was proven for.
-    exec(count, [&](int b, IAct& e) {
+    rt_.run(count, [&](int b, IAct& e) {
         const Tensor& x = *xs[b];
         RINGCNN_CHECK(x.shape().size() == 3,
                       "quantized executor input must be CHW");
@@ -902,8 +753,7 @@ QuantExecutor::forward_into(const Tensor* const* xs, Tensor* outs, int count)
         input_fmt_.quantize_row(x.data(), x.numel(), e.v.data());
     });
     for (int b = 0; b < count; ++b) {
-        const IAct& o = slots_[static_cast<size_t>(out_slot_)]
-                              [static_cast<size_t>(b)];
+        const IAct& o = rt_.out()[static_cast<size_t>(b)];
         outs[b] = Tensor(o.shape);
         QuantizedModel::dequantize(o.shape, o.v.data(), o.frac,
                                    outs[b].data());

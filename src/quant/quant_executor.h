@@ -22,15 +22,15 @@
  *    align shifts, Hadamard butterfly, rectify, butterfly,
  *    per-component round/saturate (the Fig. 8 on-the-fly pipeline), or
  *    the quantize-first ablation sequence;
- *  - all other nodes (shuffles, pad/crop, residual and two-branch
- *    aligned adds, the fixed-point bilinear upsampler) become
- *    allocation-free steps over a slotted int32 activation arena
- *    recycled by the arena planner's compile-time liveness — after the
- *    first run at the largest batch and shape the steady state
- *    performs no heap allocations; packing, the aligned adds and the
- *    shuffles fan out per (image, channel) on the pool;
  *  - conv work parallelizes across (image, output band, row band)
- *    tasks on the persistent util::ThreadPool.
+ *    tasks on the persistent util::ThreadPool;
+ *  - all other nodes (requant, shuffles, pad/crop, residual and
+ *    two-branch aligned adds, the fixed-point bilinear upsampler)
+ *    become allocation-free steps of the shared plan::Runtime
+ *    (plan/runtime.h: arena, batching, step loop — the one the fp32
+ *    executor runs on too), each fanned out per (image, channel) on
+ *    the pool; the shuffles and pad/crop share their element-type
+ *    kernels with fp32 (tensor/image_ops.h).
  *
  * Bit-exactness: every step performs the same integer operations as
  * the scalar QNode oracle. A conv takes the fast path only when a
@@ -47,51 +47,58 @@
  *
  * The executor holds pointers into the model's node graph: the
  * QuantizedModel must outlive it. One executor serves one caller at a
- * time (the arena and scratch are shared state); build one per thread.
+ * time (see plan/runtime.h).
  */
 #ifndef RINGCNN_QUANT_QUANT_EXECUTOR_H
 #define RINGCNN_QUANT_QUANT_EXECUTOR_H
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
 #include "core/ring_conv_engine.h"
 #include "plan/graph_ir.h"
+#include "plan/runtime.h"
 #include "quant/quant_model.h"
 
 namespace ringcnn::quant {
 
-/** Execution knobs for the quantized engine path. */
-struct QuantExecOptions
+/** Int8 arena activation: int32 CHW planes + per-channel frac. Every
+ *  value the plan stores here is 8-bit-class or a proven-int32 conv
+ *  accumulator, so the narrow lanes are exact. */
+struct IAct
 {
-    /** Worker threads for conv steps; 0 = auto (RINGCNN_THREADS). */
-    int threads = 0;
-    /** Output rows per conv task; 0 = auto. Any value produces
-     *  identical bits — this only shapes the parallel grain. */
-    int row_band = 0;
-    /**
-     * ABFT verification: after every fast-path conv, compare the raw
-     * int32 accumulators' interior sum against the EXACT int64
-     * prediction from the input's ring-sum and the plan's weight
-     * checksum (plan::ConvChecksum). A mismatch throws
-     * plan::IntegrityError. Scalar-oracle convs are skipped (the
-     * oracle is the reference, not an optimized rewrite). Outputs are
-     * bit-identical with verification on; the cost is one extra read
-     * pass over each conv's input and raw accumulator band.
-     */
-    bool verify_checksums = false;
+    Shape shape;
+    std::vector<int32_t> v;
+    std::vector<int> frac;
+
+    int64_t plane() const { return static_cast<int64_t>(shape[1]) * shape[2]; }
+    int32_t* ch(int c) { return v.data() + c * plane(); }
+    const int32_t* ch(int c) const { return v.data() + c * plane(); }
+    void reset(const Shape& s)
+    {
+        shape = s;
+        v.resize(static_cast<size_t>(shape_numel(s)));
+    }
+    int64_t capacity_bytes() const
+    {
+        return static_cast<int64_t>(v.capacity() * sizeof(int32_t));
+    }
 };
 
 class QuantExecutor
 {
   public:
     explicit QuantExecutor(const QuantizedModel& qm,
-                           QuantExecOptions opt = {});
+                           plan::ExecOptions opt = {});
     ~QuantExecutor();
     QuantExecutor(const QuantExecutor&) = delete;
     QuantExecutor& operator=(const QuantExecutor&) = delete;
+
+    /** The int8 compile pipeline and fusion policy, shared with the
+     *  simulator (sim::Accelerator::compile_plan) so it prices exactly
+     *  the plan this executor lowers. */
+    static plan::GraphPlan compile_plan(const QuantizedModel& qm);
 
     /** Integer graph forward; bit-identical to root->forward(in). */
     QAct run(const QAct& in);
@@ -100,23 +107,27 @@ class QuantExecutor
 
     /** End-to-end float forward: quantize, integer graph, dequantize.
      *  Bit-identical (hence float-identical) to the scalar walk. Both
-     *  overloads run through forward_into. */
+     *  overloads run through run_into. */
     Tensor forward(const Tensor& x);
     std::vector<Tensor> forward(const std::vector<Tensor>& xs);
     /**
      * Batch-into-existing-buffers float forward: quantizes `count`
      * images straight into the entry slot (QFormat::quantize_row, as
      * QuantizedModel::quantize_input), runs the integer graph once,
-     * dequantizes into outs[b] (QuantizedModel::dequantize). The
-     * serving layer's int8 mode fulfills response futures through
-     * this; bit-identical to per-image forward().
+     * dequantizes into outs[b] (QuantizedModel::dequantize). The same
+     * entry point as nn::ModelExecutor::run_into — the serving layer
+     * fulfills response futures through either; bit-identical to
+     * per-image forward().
      */
-    void forward_into(const Tensor* const* xs, Tensor* outs, int count);
+    void run_into(const Tensor* const* xs, Tensor* outs, int count);
 
     /** Compiled step count (introspection for tests/benches). */
-    size_t step_count() const { return steps_.size(); }
+    size_t step_count() const { return rt_.step_count(); }
     /** Activation-arena slot count. */
-    int slot_count() const { return static_cast<int>(slots_.size()); }
+    int slot_count() const { return rt_.slot_count(); }
+    /** Bytes currently held by the activation arena (capacity, all
+     *  slots and batch lanes). */
+    int64_t arena_bytes() const { return rt_.arena_bytes(); }
     /** Convs compiled onto the int8 channel-pair datapath. */
     int fast_conv_count() const { return fast_convs_; }
     /** Convs that fell back to the scalar oracle node (input beyond
@@ -137,34 +148,10 @@ class QuantExecutor
     const plan::GraphPlan& plan() const { return plan_; }
 
   private:
-    /** Arena activation: int32 CHW planes + per-channel frac. Every
-     *  value the plan stores here is 8-bit-class or a proven-int32
-     *  conv accumulator, so the narrow lanes are exact. */
-    struct IAct
-    {
-        Shape shape;
-        std::vector<int32_t> v;
-        std::vector<int> frac;
-
-        int64_t plane() const
-        {
-            return static_cast<int64_t>(shape[1]) * shape[2];
-        }
-        int32_t* ch(int c) { return v.data() + c * plane(); }
-        const int32_t* ch(int c) const { return v.data() + c * plane(); }
-        void reset(const Shape& s)
-        {
-            shape = s;
-            v.resize(static_cast<size_t>(shape_numel(s)));
-        }
-    };
-
     struct ConvTask
     {
         int img, group, y0, y1;
     };
-
-    using Step = std::function<void(int)>;  ///< arg: batch size
 
     // ---- backend lowering of the shared plan (see quant_executor.cc)
     void lower();
@@ -173,29 +160,24 @@ class QuantExecutor
     /** Residual / two-branch join: aligned add of two slots. */
     void lower_aligned_add(const std::vector<int>* out_frac, int bits,
                            int a_slot, int b_slot, int out);
-    /** Correct-but-allocating fallback through QNode::forward. */
-    void lower_fallback(const QNode* node, int in, int out);
+    /** The scalar QNode oracle walk of `chain` (null entries skipped)
+     *  as one allocating step: a conv that fails the fast-path proof
+     *  together with its epilogue, or a node without a kernel. */
+    void lower_oracle(std::vector<const QNode*> chain, int in, int out);
 
-    int band_rows(int h, int groups_total) const;
-    void ensure_batch(int count);
-    /** One run: per-call setup (threads, worker bands, batch
-     *  capacity), load(b, entry image b) for every image, the steps. */
-    void exec(int count, const std::function<void(int, IAct&)>& load);
-    /** exec over integer inputs, range-checked against feature_bits. */
+    /** Runs integer inputs, range-checked against feature_bits. */
     void exec(const QAct* const* ins, int count);
 
-    QuantExecOptions opt_;
+    plan::ExecOptions opt_;
     QuantOptions qopt_;
     QFormat input_fmt_;
     const QNode* root_;
 
     /** The shared-pipeline plan the steps below lower. */
     plan::GraphPlan plan_;
+    /** Arena, batch growth and the step loop (shared with fp32). */
+    plan::Runtime<IAct> rt_;
 
-    std::vector<std::vector<IAct>> slots_;  ///< [slot][image]
-    int entry_slot_ = -1, out_slot_ = -1;
-
-    std::vector<Step> steps_;
     std::vector<std::unique_ptr<QuantConvKernel>> kernels_;
     std::vector<std::vector<int32_t>> wband_;  ///< per-worker conv bands
     /** Shared conv-input scratch: every fast conv step packs its batch
@@ -205,8 +187,6 @@ class QuantExecutor
     std::vector<simd::PairTap> packed_taps_;
     std::vector<QuantPackedInput> packed_in_;
     std::vector<ConvTask> tasks_;              ///< reused task list
-    int threads_ = 1;
-    int batch_capacity_ = 0;
     int fast_convs_ = 0, scalar_convs_ = 0;
 };
 

@@ -5,7 +5,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "plan/graph_ir.h"
 #include "plan/plan_cache.h"
 #include "quant/quant_executor.h"
 #include "util/check.h"
@@ -17,10 +16,9 @@ namespace ringcnn::serve {
 using Clock = std::chrono::steady_clock;
 
 /**
- * The backend seam: the queueing/batching machinery above is identical
- * for fp32 and int8 serving; only the executor type (and what
- * "prepare" means for it) differs. Each backend instantiates the
- * shared PlanCache over its executor.
+ * The backend seam: the queueing/batching machinery is identical for
+ * fp32 and int8 serving; only the executor type differs, and
+ * PlanBackend (below) is instantiated once per executor.
  */
 struct ServeServer::Backend
 {
@@ -28,7 +26,7 @@ struct ServeServer::Backend
     /** Claims the plan slot for `shape` (marks it busy) and bumps the
      *  matching stats counter. Requires the server lock. */
     virtual void* claim(const Shape& shape, ServeStats& stats) = 0;
-    /** Prepares (compiles, or re-keys a reclaimed slot) the claimed
+    /** Prepares (compiles, unless the claim was a hit) the claimed
      *  plan and runs the batch through it. Called OUTSIDE the lock. */
     virtual void run(void* plan, const Shape& shape,
                      const Tensor* const* xs, Tensor* outs, int n) = 0;
@@ -52,133 +50,65 @@ struct ServeServer::Backend
 
 namespace {
 
-using plan::PlanCache;
-
-template <class Exec>
-void
-count_outcome(typename PlanCache<Exec>::Outcome oc, ServeStats& stats)
+std::unique_ptr<nn::ModelExecutor>
+compile(nn::Model& model, const Shape& shape, const plan::ExecOptions& opt)
 {
-    switch (oc) {
-        case PlanCache<Exec>::Outcome::kHit:
-            ++stats.plan_hits;
-            break;
-        case PlanCache<Exec>::Outcome::kFresh:
-            ++stats.plan_compiles;
-            break;
-        case PlanCache<Exec>::Outcome::kReclaim:
-            ++stats.plan_rebinds;
-            break;
-    }
+    nn::ExecutorOptions eo;
+    static_cast<plan::ExecOptions&>(eo) = opt;
+    return std::make_unique<nn::ModelExecutor>(model, shape, eo);
 }
 
-/** fp32: one arena-planned ModelExecutor per shape; a reclaimed slot
- *  drops the victim's plan and compiles the new shape fresh. */
-class Fp32Backend final : public ServeServer::Backend
+/** The integer plan is shape-agnostic (the graph fixes channel
+ *  counts; spatial dims flow through), so the shape only keys the
+ *  cache slot that owns this executor's arena. */
+std::unique_ptr<quant::QuantExecutor>
+compile(const quant::QuantizedModel& model, const Shape&,
+        const plan::ExecOptions& opt)
 {
-  public:
-    Fp32Backend(nn::Model& model, const ServeOptions& opt)
-        : model_(model), opt_(opt), cache_(opt.max_plans)
-    {
-    }
-
-    void* claim(const Shape& shape, ServeStats& stats) override
-    {
-        typename Cache::Outcome oc;
-        auto* e = cache_.claim(shape, &oc);
-        count_outcome<nn::ModelExecutor>(oc, stats);
-        return e;
-    }
-
-    void run(void* plan, const Shape& shape, const Tensor* const* xs,
-             Tensor* outs, int n) override
-    {
-        auto* e = static_cast<typename Cache::Entry*>(plan);
-        if (e->exec == nullptr || e->exec->in_shape() != shape) {
-            e->exec.reset();  // free the victim's arena before compiling
-            e->exec = std::make_unique<nn::ModelExecutor>(model_, shape,
-                                                          opt_.executor);
-        }
-        e->exec->run_into(xs, outs, n);
-    }
-
-    void release(void* plan, bool ok) override
-    {
-        cache_.release(static_cast<typename Cache::Entry*>(plan), ok);
-    }
-
-    uint64_t trim() override
-    {
-        return static_cast<uint64_t>(cache_.trim());
-    }
-
-    void run_fallback(const Shape& shape, const Tensor* const* xs,
-                      Tensor* outs, int n) override
-    {
-        nn::ExecutorOptions eopt = opt_.executor;
-        eopt.verify_checksums = true;
-        nn::ModelExecutor fresh(model_, shape, eopt);
-        fresh.run_into(xs, outs, n);
-    }
-
-  private:
-    using Cache = PlanCache<nn::ModelExecutor>;
-    nn::Model& model_;
-    ServeOptions opt_;
-    Cache cache_;
-};
+    return std::make_unique<quant::QuantExecutor>(model, opt);
+}
 
 /**
- * int8: the quantized engine path. Its plan is shape-agnostic (the
- * integer graph fixes channel counts; spatial dims flow through), so
- * one compiled QuantExecutor serves every shape and a reclaimed slot
- * is only re-keyed. The PlanCache still bounds live arenas: each
- * cached entry owns its own activation arena sized by the shapes it
- * has seen, and distinct entries let distinct shapes run without
- * re-growing one shared arena.
+ * The serving backend over either executor: a shape-keyed PlanCache of
+ * compiled plans. A hit runs the cached plan; every other claim
+ * compiles fresh in PlanCache::prepare, outside the server lock — a
+ * reclaimed slot frees its victim's arena before the new compile.
  */
-class Int8Backend final : public ServeServer::Backend
+template <class Model, class Exec>
+class PlanBackend final : public ServeServer::Backend
 {
+    using Cache = plan::PlanCache<Exec>;
+
   public:
-    /** Shape-keyed adapter satisfying the PlanCache Exec contract. */
-    struct QuantPlanExec
+    PlanBackend(Model& model, const ServeOptions& opt)
+        : model_(model), opt_(opt.executor), cache_(opt.max_plans)
     {
-        QuantPlanExec(const quant::QuantizedModel& qm, const Shape& shape,
-                      quant::QuantExecOptions qopt)
-            : shape_(shape), exec_(qm, qopt)
-        {
-        }
-        const Shape& in_shape() const { return shape_; }
-
-        Shape shape_;
-        quant::QuantExecutor exec_;
-    };
-
-    Int8Backend(const quant::QuantizedModel& model, const ServeOptions& opt)
-        : model_(model), cache_(opt.max_plans)
-    {
-        qopt_.threads = opt.executor.threads;
-        qopt_.verify_checksums = opt.executor.verify_checksums;
     }
 
     void* claim(const Shape& shape, ServeStats& stats) override
     {
         typename Cache::Outcome oc;
         auto* e = cache_.claim(shape, &oc);
-        count_outcome<QuantPlanExec>(oc, stats);
+        switch (oc) {
+            case Cache::Outcome::kHit:
+                ++stats.plan_hits;
+                break;
+            case Cache::Outcome::kFresh:
+                ++stats.plan_compiles;
+                break;
+            case Cache::Outcome::kReclaim:
+                ++stats.plan_rebinds;
+                break;
+        }
         return e;
     }
 
     void run(void* plan, const Shape& shape, const Tensor* const* xs,
              Tensor* outs, int n) override
     {
-        auto* e = static_cast<typename Cache::Entry*>(plan);
-        if (e->exec == nullptr) {
-            e->exec =
-                std::make_unique<QuantPlanExec>(model_, shape, qopt_);
-        } else {
-            e->exec->shape_ = shape;  // plan is shape-agnostic
-        }
-        e->exec->exec_.forward_into(xs, outs, n);
+        Cache::prepare(static_cast<typename Cache::Entry*>(plan),
+                       [&] { return compile(model_, shape, opt_); })
+            .run_into(xs, outs, n);
     }
 
     void release(void* plan, bool ok) override
@@ -194,16 +124,14 @@ class Int8Backend final : public ServeServer::Backend
     void run_fallback(const Shape& shape, const Tensor* const* xs,
                       Tensor* outs, int n) override
     {
-        quant::QuantExecOptions q = qopt_;
-        q.verify_checksums = true;
-        QuantPlanExec fresh(model_, shape, q);
-        fresh.exec_.forward_into(xs, outs, n);
+        plan::ExecOptions verified = opt_;
+        verified.verify_checksums = true;
+        compile(model_, shape, verified)->run_into(xs, outs, n);
     }
 
   private:
-    using Cache = PlanCache<QuantPlanExec>;
-    const quant::QuantizedModel& model_;
-    quant::QuantExecOptions qopt_;
+    Model& model_;
+    plan::ExecOptions opt_;
     Cache cache_;
 };
 
@@ -211,14 +139,18 @@ class Int8Backend final : public ServeServer::Backend
 
 ServeServer::ServeServer(nn::Model& model, ServeOptions opt) : opt_(opt)
 {
-    backend_ = std::make_unique<Fp32Backend>(model, opt_);
+    backend_ =
+        std::make_unique<PlanBackend<nn::Model, nn::ModelExecutor>>(model,
+                                                                   opt_);
     start_workers();
 }
 
 ServeServer::ServeServer(const quant::QuantizedModel& model, ServeOptions opt)
     : opt_(opt)
 {
-    backend_ = std::make_unique<Int8Backend>(model, opt_);
+    backend_ = std::make_unique<
+        PlanBackend<const quant::QuantizedModel, quant::QuantExecutor>>(
+        model, opt_);
     start_workers();
 }
 

@@ -53,14 +53,16 @@
  * window in which a request can be accepted but never resolved. The
  * destructor runs stop(kDrain).
  *
- * Two backends instantiate the same queue/cache machinery over the
- * shared compile pipeline's lowerings (src/plan):
+ * One backend template serves both executors over the shared compile
+ * pipeline's lowerings (src/plan) and their shared plan::Runtime:
  *  - fp32: nn::ModelExecutor per shape. Weight updates are picked up
  *    without replanning through the layers' ParamRef::version dirty
  *    counters, exactly as Model::infer does.
- *  - int8: the quantized engine path (quant::QuantExecutor). The
- *    integer plan is shape-agnostic, so a reclaimed slot is only
- *    re-keyed; the compiled kernels are reused as-is.
+ *  - int8: the quantized engine path (quant::QuantExecutor), one per
+ *    cached shape.
+ * Both follow one cache policy: a hit runs the cached plan, and every
+ * other claim compiles fresh outside the server lock — a reclaimed
+ * slot frees its victim's arena first.
  *
  * Determinism: both executors' batched kernels are batch-composition
  * invariant, so every response is bit-identical to a single-request
@@ -97,6 +99,7 @@
 
 #include "nn/executor.h"
 #include "nn/model.h"
+#include "plan/runtime.h"
 
 namespace ringcnn::quant {
 class QuantizedModel;
@@ -201,10 +204,9 @@ struct ServeOptions
      *  are bit-identical to an unfaulted run (fresh compile from the
      *  source weights). See ServeStats::retries / retry_successes. */
     bool retry_on_fault = true;
-    /** Plan-compile knobs forwarded to every cached ModelExecutor
-     *  (fp32 backend; the int8 backend maps `executor.threads` and
-     *  `executor.verify_checksums`). */
-    nn::ExecutorOptions executor;
+    /** Execution knobs forwarded to every cached executor (either
+     *  backend). */
+    plan::ExecOptions executor;
 };
 
 /** Counters since construction; see ServeServer::stats(). */
@@ -221,8 +223,7 @@ struct ServeStats
     uint64_t plan_hits = 0;  ///< batch found its shape's plan cached
     uint64_t plan_compiles = 0;  ///< claims that compiled into a new slot
     /** Claims that reclaimed an idle LRU plan's slot for a new shape
-     *  (fp32: the victim's plan is dropped and the shape compiled
-     *  fresh; int8: the slot is re-keyed). */
+     *  (the victim's plan is dropped and the shape compiled fresh). */
     uint64_t plan_rebinds = 0;
     uint64_t plan_evictions = 0;  ///< cached plans dropped (trim)
     uint64_t max_queue_depth = 0;  ///< peak in-flight + queued requests

@@ -3,8 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "plan/arena_planner.h"
-#include "plan/fusion_pass.h"
+#include "quant/quant_executor.h"
 
 namespace ringcnn::sim {
 
@@ -62,15 +61,11 @@ Accelerator::Accelerator(const SimConfig& cfg, const hw::TechConstants& tc)
 plan::GraphPlan
 Accelerator::compile_plan(const quant::QuantizedModel& qm) const
 {
-    // Identical pipeline and fusion policy to QuantExecutor: requant
-    // and directional fusion are unconditional on this machine — the
+    // The executor's own pipeline and fusion policy: requant and
+    // directional fusion are unconditional on this machine too — the
     // requant applies in the engine's accumulate pass and the
     // directional-ReLU blocks sit pipelined behind the accumulators.
-    plan::GraphPlan p =
-        plan::linearize(*qm.root(), qm.options().feature_bits);
-    plan::fuse_epilogues(p, plan::FusionOptions{});
-    plan::plan_arena(p);
-    return p;
+    return quant::QuantExecutor::compile_plan(qm);
 }
 
 SimStats

@@ -9,6 +9,9 @@
 #ifndef RINGCNN_TENSOR_IMAGE_OPS_H
 #define RINGCNN_TENSOR_IMAGE_OPS_H
 
+#include <algorithm>
+#include <cstdint>
+
 #include "tensor/tensor.h"
 
 namespace ringcnn {
@@ -39,17 +42,6 @@ Tensor pixel_unshuffle(const Tensor& x, int r);
 
 /** Pixel shuffle (depth-to-space): [C*r*r][H][W] -> [C][H*r][W*r]. */
 Tensor pixel_shuffle(const Tensor& x, int r);
-
-// Allocation-free variants writing into a caller buffer (reset() to
-// the output shape, capacity reused) — the model executor's arena
-// steps. The allocating versions above are thin wrappers, so each
-// permutation's index math exists exactly once.
-void pixel_unshuffle_into(const Tensor& x, int r, Tensor& out);
-void pixel_shuffle_into(const Tensor& x, int r, Tensor& out);
-/** Zero-pads channels up to exactly `want` (want >= C). */
-void channel_pad_into(const Tensor& x, int want, Tensor& out);
-/** Keeps the first `keep` channels (keep <= C). */
-void crop_channels_into(const Tensor& x, int keep, Tensor& out);
 
 /** Mean squared error between two equally-shaped tensors. */
 double mse(const Tensor& a, const Tensor& b);
@@ -86,6 +78,70 @@ Tensor upsample_bilinear(const Tensor& x, int r);
  *  the output shape, capacity reused) — the model executor's compiled
  *  UpsampleBilinearLayer step. The allocating version wraps this. */
 void upsample_bilinear_into(const Tensor& x, int r, Tensor& out);
+
+// ---- Per-channel layout kernels over raw CHW buffers ------------------
+// One definition of the shuffle and pad/crop index math for every
+// element type: the fp32 executor arena (float), the int8 executor
+// arena (int32_t), and the allocating functions above. Each call
+// writes its own output planes only, so callers may fan calls out per
+// (image, channel).
+
+/** Output channel `oc` of pixel_shuffle: x is [C*r*r][h][w], y is
+ *  [C][h*r][w*r]. */
+template <class T>
+void
+pixel_shuffle_channel(const T* x, int h, int w, int r, int oc, T* y)
+{
+    const int64_t plane = static_cast<int64_t>(h) * w;
+    T* dst = y + oc * plane * r * r;
+    for (int dy = 0; dy < r; ++dy) {
+        for (int dx = 0; dx < r; ++dx) {
+            const T* src = x + ((oc * r + dy) * r + dx) * plane;
+            for (int yy = 0; yy < h; ++yy) {
+                T* drow = dst + (static_cast<int64_t>(yy) * r + dy) * w * r +
+                          dx;
+                const T* srow = src + static_cast<int64_t>(yy) * w;
+                for (int xx = 0; xx < w; ++xx) drow[xx * r] = srow[xx];
+            }
+        }
+    }
+}
+
+/** The r*r output channels of pixel_unshuffle fed by input channel
+ *  `ic`: x is [C][h*r][w*r], y is [C*r*r][h][w] (h, w are the OUTPUT
+ *  dims). */
+template <class T>
+void
+pixel_unshuffle_channel(const T* x, int h, int w, int r, int ic, T* y)
+{
+    const int64_t plane = static_cast<int64_t>(h) * w;
+    const T* src = x + ic * plane * r * r;
+    for (int dy = 0; dy < r; ++dy) {
+        for (int dx = 0; dx < r; ++dx) {
+            T* dst = y + ((ic * r + dy) * r + dx) * plane;
+            for (int yy = 0; yy < h; ++yy) {
+                const T* srow =
+                    src + (static_cast<int64_t>(yy) * r + dy) * w * r + dx;
+                T* drow = dst + static_cast<int64_t>(yy) * w;
+                for (int xx = 0; xx < w; ++xx) drow[xx] = srow[xx * r];
+            }
+        }
+    }
+}
+
+/** Output channel `c` of a channel pad or crop over planes of `plane`
+ *  elements: a copy of input channel c when c < in_c, zeros past it. */
+template <class T>
+void
+pad_crop_channel(const T* x, int in_c, int64_t plane, int c, T* y)
+{
+    T* dst = y + c * plane;
+    if (c < in_c) {
+        std::copy(x + c * plane, x + (c + 1) * plane, dst);
+    } else {
+        std::fill(dst, dst + plane, T(0));
+    }
+}
 
 }  // namespace ringcnn
 

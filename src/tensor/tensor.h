@@ -63,6 +63,11 @@ class Tensor
     const float* data() const { return data_.data(); }
     std::vector<float>& vec() { return data_; }
     const std::vector<float>& vec() const { return data_; }
+    /** Bytes reserved by the buffer (capacity, not size). */
+    int64_t capacity_bytes() const
+    {
+        return static_cast<int64_t>(data_.capacity() * sizeof(float));
+    }
 
     float& operator[](int64_t i) { return data_[static_cast<size_t>(i)]; }
     float operator[](int64_t i) const { return data_[static_cast<size_t>(i)]; }

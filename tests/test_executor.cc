@@ -3,16 +3,22 @@
  * ModelExecutor tests: compiled-plan inference must agree with the
  * layer-by-layer reference walk on real backbones (all rings, fused
  * and strict modes), reuse its activation arena, track in-place weight
- * mutations, and batch consistently.
+ * mutations, and batch consistently — plus the shared plan::Runtime
+ * contract (batch growth, grow-only arena, empty batches), typed over
+ * both the fp32 ModelExecutor and the int8 QuantExecutor.
  */
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <memory>
 #include <random>
 
 #include "frconv_reference.h"
 #include "models/backbones.h"
 #include "nn/executor.h"
+#include "quant/quant_executor.h"
+#include "quant/quant_model.h"
 #include "tensor/image_ops.h"
 
 namespace ringcnn {
@@ -85,31 +91,20 @@ TEST(ModelExecutor, FusesConv2dReluOnRealBaselines)
 {
     // n=1 real-algebra models: every Conv2d followed by a ReLU must
     // compile into one fused step, and fusion must not change a bit
-    // (the rectifier sees exactly the values the separate step saw).
+    // (the rectifier sees exactly the values the layer walk's separate
+    // ReLU saw).
     nn::Model model =
         models::build_dn_ernet_pu(models::Algebra::real(), small_cfg());
 
     nn::ModelExecutor fused(model, {3, 16, 16});
     EXPECT_GT(fused.fused_conv_relu_count(), 0);
 
-    nn::ExecutorOptions unfused_opt;
-    unfused_opt.fuse_epilogues = false;
-    nn::ModelExecutor unfused(model, {3, 16, 16}, unfused_opt);
-    EXPECT_EQ(unfused.fused_conv_relu_count(), 0);
-    EXPECT_GT(unfused.step_count(), fused.step_count());
-
     std::mt19937 rng(48);
     Tensor x({3, 16, 16});
     x.rand_uniform(rng, 0.0f, 1.0f);
-    const Tensor want = unfused.run(x);
     const Tensor got = fused.run(x);
-    ASSERT_EQ(got.shape(), want.shape());
-    for (int64_t i = 0; i < want.numel(); ++i) {
-        ASSERT_EQ(got[i], want[i]) << "flat " << i;
-    }
-
-    // And the fused plan still matches the layer-by-layer walk.
     const Tensor ref = model.forward(x, false);
+    ASSERT_EQ(got.shape(), ref.shape());
     for (int64_t i = 0; i < ref.numel(); ++i) {
         ASSERT_EQ(got[i], ref[i]) << "flat " << i;
     }
@@ -298,6 +293,138 @@ TEST(ModelExecutor, RejectsWrongInputShape)
     nn::ModelExecutor exec(model, {3, 16, 16});
     Tensor wrong({3, 12, 12});
     EXPECT_THROW(exec.run(wrong), std::invalid_argument);
+}
+
+// ---- The shared runtime contract, once for both executors -------------
+
+const Shape kContractShape{3, 16, 16};
+
+/** fp32 side: a ModelExecutor compiled for kContractShape. */
+struct Fp32Side
+{
+    using Exec = nn::ModelExecutor;
+    explicit Fp32Side(nn::Model& m) : model(m) {}
+    std::unique_ptr<Exec> make()
+    {
+        return std::make_unique<Exec>(model, kContractShape);
+    }
+    static std::vector<Tensor> run(Exec& e, const std::vector<Tensor>& xs)
+    {
+        return e.run(xs);
+    }
+    nn::Model& model;
+};
+
+/** int8 side: a QuantExecutor over the model quantized from two
+ *  calibration images. */
+struct Int8Side
+{
+    using Exec = quant::QuantExecutor;
+    explicit Int8Side(nn::Model& m) : qm(m, calibration()) {}
+    static std::vector<Tensor> calibration()
+    {
+        std::mt19937 rng(70);
+        std::vector<Tensor> calib;
+        for (int i = 0; i < 2; ++i) {
+            Tensor c(kContractShape);
+            c.rand_uniform(rng, 0.0f, 1.0f);
+            calib.push_back(std::move(c));
+        }
+        return calib;
+    }
+    std::unique_ptr<Exec> make() { return std::make_unique<Exec>(qm); }
+    static std::vector<Tensor> run(Exec& e, const std::vector<Tensor>& xs)
+    {
+        return e.forward(xs);
+    }
+    quant::QuantizedModel qm;
+};
+
+template <class Side>
+class RuntimeContract : public ::testing::Test
+{
+  protected:
+    RuntimeContract()
+        : model(models::build_dn_ernet_pu(models::Algebra::with_fh("RI4"),
+                                          small_cfg())),
+          side(model)
+    {
+    }
+    nn::Model model;
+    Side side;
+};
+
+using ExecutorSides = ::testing::Types<Fp32Side, Int8Side>;
+TYPED_TEST_SUITE(RuntimeContract, ExecutorSides);
+
+void
+expect_same_bits(const Tensor& got, const Tensor& want, const char* label,
+                 size_t image)
+{
+    ASSERT_EQ(got.shape(), want.shape()) << label << " image " << image;
+    EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                          static_cast<size_t>(want.numel()) * sizeof(float)),
+              0)
+        << label << " image " << image;
+}
+
+TYPED_TEST(RuntimeContract, BatchGrowthBitIdenticalAndArenaGrowOnly)
+{
+    using Side = TypeParam;
+    std::mt19937 rng(71);
+    std::vector<Tensor> xs;
+    for (int i = 0; i < 8; ++i) {
+        Tensor x(kContractShape);
+        x.rand_uniform(rng, 0.0f, 1.0f);
+        xs.push_back(std::move(x));
+    }
+    // Per-image references, each a batch of one on its own executor.
+    auto ref = this->side.make();
+    std::vector<Tensor> want;
+    for (const Tensor& x : xs) want.push_back(Side::run(*ref, {x})[0]);
+
+    // One executor through batches of 1, 5, 2: the batch grows, then
+    // shrinks onto the grown arena.
+    auto exec = this->side.make();
+    size_t next = 0;
+    int64_t grown_bytes = 0;
+    for (const int n : {1, 5, 2}) {
+        const std::vector<Tensor> batch(xs.begin() + static_cast<int64_t>(next),
+                                        xs.begin() +
+                                            static_cast<int64_t>(next + n));
+        const std::vector<Tensor> got = Side::run(*exec, batch);
+        ASSERT_EQ(got.size(), static_cast<size_t>(n));
+        for (size_t i = 0; i < got.size(); ++i) {
+            expect_same_bits(got[i], want[next + i], "batched", next + i);
+        }
+        if (n == 5) grown_bytes = exec->arena_bytes();
+        next += static_cast<size_t>(n);
+    }
+    EXPECT_GT(grown_bytes, 0);
+    EXPECT_EQ(exec->arena_bytes(), grown_bytes) << "smaller batch";
+
+    // A repeat at the largest batch reuses the arena as well.
+    const std::vector<Tensor> again =
+        Side::run(*exec, std::vector<Tensor>(xs.begin(), xs.begin() + 5));
+    for (size_t i = 0; i < again.size(); ++i) {
+        expect_same_bits(again[i], want[i], "repeat", i);
+    }
+    EXPECT_EQ(exec->arena_bytes(), grown_bytes) << "repeat batch";
+}
+
+TYPED_TEST(RuntimeContract, EmptyBatchReturnsEmpty)
+{
+    using Side = TypeParam;
+    // On a fresh executor (nothing sized yet) and after a real run.
+    auto exec = this->side.make();
+    EXPECT_TRUE(Side::run(*exec, {}).empty());
+    EXPECT_EQ(exec->arena_bytes(), 0);
+
+    Tensor x(kContractShape);
+    std::mt19937 rng(72);
+    x.rand_uniform(rng, 0.0f, 1.0f);
+    EXPECT_EQ(Side::run(*exec, {x}).size(), 1u);
+    EXPECT_TRUE(Side::run(*exec, {}).empty());
 }
 
 }  // namespace

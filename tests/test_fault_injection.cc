@@ -128,7 +128,7 @@ TEST_F(FaultInjection, CleanVerifiedRunBitIdenticalInt8)
     const quant::QuantizedModel qm(model, calib);
     const Tensor x = data::synthetic_image(3, 16, 16, rng);
 
-    quant::QuantExecOptions vq;
+    plan::ExecOptions vq;
     vq.verify_checksums = true;
     quant::QuantExecutor plain(qm);
     quant::QuantExecutor verified(qm, vq);
@@ -191,7 +191,7 @@ TEST_F(FaultInjection, Int8WeightFlipAlwaysDetected)
     }
     const quant::QuantizedModel qm(model, calib);
     const Tensor x = data::synthetic_image(3, 16, 16, rng);
-    quant::QuantExecOptions vq;
+    plan::ExecOptions vq;
     vq.verify_checksums = true;
 
     for (uint64_t seed = 1; seed <= 12; ++seed) {

@@ -434,5 +434,27 @@ TEST(QuantExecutorProperty, HundredRandomDrawsBitExact)
     }
 }
 
+TEST(QuantExecutor, EmptyBatchReturnsEmptyOnEveryEntryPoint)
+{
+    // Every entry point must return empty on a fresh model and
+    // executor, whose arena holds no image 0 for a step to read.
+    models::ErnetConfig cfg;
+    cfg.channels = 8;
+    cfg.blocks = 1;
+    nn::Model m =
+        models::build_dn_ernet_pu(models::Algebra::with_fh("RI4"), cfg);
+    std::mt19937 rng(905);
+    const std::vector<Tensor> calib{data::synthetic_image(3, 16, 16, rng)};
+    const QuantizedModel qm(m, calib);
+    EXPECT_TRUE(qm.forward(std::vector<Tensor>{}).empty());
+    EXPECT_TRUE(qm.infer(std::vector<QAct>{}).empty());
+
+    QuantExecutor ex(qm);
+    EXPECT_TRUE(ex.forward(std::vector<Tensor>{}).empty());
+    EXPECT_TRUE(ex.run(std::vector<QAct>{}).empty());
+    ex.run_into(nullptr, nullptr, 0);
+    EXPECT_EQ(ex.arena_bytes(), 0);
+}
+
 }  // namespace
 }  // namespace ringcnn::quant

@@ -174,9 +174,9 @@ TEST(ServeServer, Int8ModeBitIdenticalToQuantizedForward)
 {
     // The int8 serving mode instantiates the same queue + PlanCache
     // machinery over the quantized engine path; every response must be
-    // bit-identical to a single-request QuantizedModel forward. The
-    // integer plan is shape-agnostic, so mixed spatial sizes serve
-    // from recycled cache slots without recompiling kernels.
+    // bit-identical to a single-request QuantizedModel forward. Three
+    // shapes through two plan slots: a reclaimed slot compiles its new
+    // shape fresh, as on fp32.
     nn::Model model = small_model();
     std::mt19937 rng(57);
     std::vector<Tensor> calib;
@@ -217,6 +217,7 @@ TEST(ServeServer, Int8ModeBitIdenticalToQuantizedForward)
     EXPECT_EQ(st.completed, static_cast<uint64_t>(kTotal));
     EXPECT_EQ(st.failed, 0u);
     EXPECT_EQ(st.plan_compiles, 2u);
+    EXPECT_GT(st.plan_rebinds, 0u);
 }
 
 TEST(ServeServer, WeightBumpsBetweenDrainsArePickedUp)
